@@ -30,7 +30,9 @@
 use midq::common::{EngineConfig, FaultInjector, FaultKind, FaultSite, FaultSpec, SimClock};
 use midq::reopt::{JobEnv, ParSpec};
 use midq::tpcd::{queries, TpcdConfig};
-use midq::{Database, Engine, LogicalPlan, MqError, ReoptMode};
+use midq::{
+    Database, Engine, ExecRequest, LogicalPlan, MqError, PlanSource, QueryOutcome, ReoptMode,
+};
 
 use crate::chaos::{fingerprint, CHAOS_QUERIES};
 
@@ -141,7 +143,7 @@ pub fn recovery_figure() -> Vec<RecoveryPoint> {
         let counter = FaultInjector::none();
         let (mut env, cold_clock) = child_env(engine, None);
         env.fault = Some(counter.clone());
-        if engine.run_with(&plan, ReoptMode::PlanOnly, env).is_err() {
+        if run_plan_only(engine, &plan, env).is_err() {
             continue;
         }
         let cold_ms = cold_clock.elapsed_ms(&cfg);
@@ -161,10 +163,7 @@ pub fn recovery_figure() -> Vec<RecoveryPoint> {
         let (mut env, _) = child_env(engine, None);
         env.fault = Some(inj);
         let query_id = env.query_id;
-        if !matches!(
-            engine.run_with(&plan, ReoptMode::PlanOnly, env),
-            Err(MqError::Crash(_))
-        ) {
+        if !matches!(run_plan_only(engine, &plan, env), Err(MqError::Crash(_))) {
             continue;
         }
         let (env, _) = child_env(engine, None);
@@ -180,6 +179,17 @@ pub fn recovery_figure() -> Vec<RecoveryPoint> {
         });
     }
     out
+}
+
+/// Run `plan` in PlanOnly mode — the regime where queries actually
+/// checkpoint (see the module docs).
+fn run_plan_only(engine: &Engine, plan: &LogicalPlan, env: JobEnv) -> midq::Result<QueryOutcome> {
+    engine.execute(ExecRequest {
+        logical: plan,
+        mode: ReoptMode::PlanOnly,
+        env,
+        source: PlanSource::Plan,
+    })
 }
 
 /// A job environment on a fresh child clock, so each run's simulated
@@ -227,7 +237,7 @@ pub fn run_crash_campaign(verbose: bool) -> CrashReport {
             let counter = FaultInjector::none();
             let (mut env, cold_clock) = child_env(engine, partitions);
             env.fault = Some(counter.clone());
-            let cold = match engine.run_with(plan, ReoptMode::PlanOnly, env) {
+            let cold = match run_plan_only(engine, plan, env) {
                 Ok(o) => o,
                 Err(e) => {
                     violate(
@@ -287,7 +297,7 @@ pub fn run_crash_campaign(verbose: bool) -> CrashReport {
                 let (mut env, _crash_clock) = child_env(engine, partitions);
                 env.fault = Some(inj);
                 let query_id = env.query_id;
-                match engine.run_with(plan, ReoptMode::PlanOnly, env) {
+                match run_plan_only(engine, plan, env) {
                     Err(MqError::Crash(_)) => report.crashes += 1,
                     Ok(_) => {
                         violate(

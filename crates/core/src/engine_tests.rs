@@ -6,8 +6,24 @@ use mq_expr::{cmp, col, lit, CmpOp};
 use mq_plan::{AggExpr, AggFunc, LogicalPlan, PhysOp};
 use mq_stats::HistogramKind;
 
-use crate::engine::Engine;
+use crate::engine::{Engine, ExecRequest, JobEnv, PlanSource, QueryOutcome};
 use crate::ReoptMode;
+
+/// Execute a plan-built query under `env` (most tests pass
+/// [`Engine::default_env`]).
+fn run(
+    engine: &Engine,
+    q: &LogicalPlan,
+    mode: ReoptMode,
+    env: JobEnv,
+) -> mq_common::Result<QueryOutcome> {
+    engine.execute(ExecRequest {
+        logical: q,
+        mode,
+        env,
+        source: PlanSource::Plan,
+    })
+}
 
 /// The classic stale-statistics setup: `fact` is analyzed early, then
 /// grows 10× with a *different* value distribution, so the optimizer
@@ -125,7 +141,7 @@ fn all_modes_agree_on_results() {
         ReoptMode::PlanOnly,
         ReoptMode::Full,
     ] {
-        let outcome = engine.run(&q, mode).unwrap();
+        let outcome = run(&engine, &q, mode, engine.default_env()).unwrap();
         let mut rows: Vec<String> = outcome.rows.iter().map(|r| r.to_string()).collect();
         rows.sort();
         sorted.push(rows);
@@ -141,8 +157,8 @@ fn stale_stats_trigger_plan_switch_and_win() {
     let engine = stale_fact_engine();
     let q = stale_fact_query();
 
-    let off = engine.run(&q, ReoptMode::Off).unwrap();
-    let full = engine.run(&q, ReoptMode::Full).unwrap();
+    let off = run(&engine, &q, ReoptMode::Off, engine.default_env()).unwrap();
+    let full = run(&engine, &q, ReoptMode::Full, engine.default_env()).unwrap();
 
     assert!(full.collector_reports > 0, "collectors must report");
     assert!(
@@ -173,7 +189,7 @@ fn stale_stats_trigger_plan_switch_and_win() {
 fn off_mode_has_no_monitoring() {
     let engine = stale_fact_engine();
     let q = stale_fact_query();
-    let off = engine.run(&q, ReoptMode::Off).unwrap();
+    let off = run(&engine, &q, ReoptMode::Off, engine.default_env()).unwrap();
     assert_eq!(off.collector_reports, 0);
     assert_eq!(off.plan_switches, 0);
     assert_eq!(off.memory_reallocs, 0);
@@ -190,7 +206,7 @@ fn off_mode_has_no_monitoring() {
 fn memory_only_never_switches_plans() {
     let engine = stale_fact_engine();
     let q = stale_fact_query();
-    let outcome = engine.run(&q, ReoptMode::MemoryOnly).unwrap();
+    let outcome = run(&engine, &q, ReoptMode::MemoryOnly, engine.default_env()).unwrap();
     assert_eq!(outcome.plan_switches, 0);
 }
 
@@ -273,8 +289,8 @@ fn memory_realloc_avoids_spill() {
         }],
     );
 
-    let off = engine.run(&q, ReoptMode::Off).unwrap();
-    let mem = engine.run(&q, ReoptMode::MemoryOnly).unwrap();
+    let off = run(&engine, &q, ReoptMode::Off, engine.default_env()).unwrap();
+    let mem = run(&engine, &q, ReoptMode::MemoryOnly, engine.default_env()).unwrap();
     assert_eq!(mem.plan_switches, 0);
     // Results identical.
     let key = |o: &crate::engine::QueryOutcome| {
@@ -317,8 +333,8 @@ fn simple_queries_unaffected() {
             name: "n".into(),
         }],
     );
-    let off = engine.run(&q, ReoptMode::Off).unwrap();
-    let full = engine.run(&q, ReoptMode::Full).unwrap();
+    let off = run(&engine, &q, ReoptMode::Off, engine.default_env()).unwrap();
+    let full = run(&engine, &q, ReoptMode::Full, engine.default_env()).unwrap();
     assert_eq!(off.rows, full.rows);
     assert_eq!(full.plan_switches, 0);
     // Overhead must respect μ within rounding: the full run can cost at
@@ -335,7 +351,7 @@ fn simple_queries_unaffected() {
 fn events_are_informative() {
     let engine = stale_fact_engine();
     let q = stale_fact_query();
-    let full = engine.run(&q, ReoptMode::Full).unwrap();
+    let full = run(&engine, &q, ReoptMode::Full, engine.default_env()).unwrap();
     let log = full.events.join("\n");
     assert!(log.contains("collector"), "log:\n{log}");
     if full.plan_switches > 0 {
@@ -439,8 +455,8 @@ fn udf_blindness_repaired_by_reallocation() {
             }],
         );
 
-    let off = engine.run(&q, ReoptMode::Off).unwrap();
-    let full = engine.run(&q, ReoptMode::Full).unwrap();
+    let off = run(&engine, &q, ReoptMode::Off, engine.default_env()).unwrap();
+    let full = run(&engine, &q, ReoptMode::Full, engine.default_env()).unwrap();
     assert_eq!(off.rows.len(), full.rows.len());
     assert!(
         full.memory_reallocs >= 1,
@@ -468,7 +484,7 @@ fn switch_temp_tables_are_cleaned_up() {
     let engine = stale_fact_engine();
     let q = stale_fact_query();
     let before_tables = engine.catalog().table_names();
-    let full = engine.run(&q, ReoptMode::Full).unwrap();
+    let full = run(&engine, &q, ReoptMode::Full, engine.default_env()).unwrap();
     assert!(full.plan_switches >= 1, "scenario must switch");
     let after_tables = engine.catalog().table_names();
     assert_eq!(before_tables, after_tables, "temp tables must be dropped");
@@ -501,7 +517,7 @@ fn impossible_budget_is_a_clean_error() {
         .unwrap();
     let q = LogicalPlan::scan("big").join(LogicalPlan::scan("big2"), vec![("big.k", "big2.k")]);
     // big2 doesn't exist → NotFound, clean.
-    assert!(engine.run(&q, ReoptMode::Full).is_err());
+    assert!(run(&engine, &q, ReoptMode::Full, engine.default_env()).is_err());
     // Self-join-free giant hash join under a 4-page budget → OOM or a
     // successful (heavily spilling) run, but never a panic.
     let q = LogicalPlan::scan("big").aggregate(
@@ -512,7 +528,7 @@ fn impossible_budget_is_a_clean_error() {
             name: "n".into(),
         }],
     );
-    let result = engine.run(&q, ReoptMode::Full);
+    let result = run(&engine, &q, ReoptMode::Full, engine.default_env());
     match result {
         Ok(out) => assert_eq!(out.rows.len(), 100),
         Err(e) => assert_eq!(e.kind(), "oom"),
@@ -525,14 +541,14 @@ fn impossible_budget_is_a_clean_error() {
 fn modes_are_cleanly_separated() {
     let engine = stale_fact_engine();
     let q = stale_fact_query();
-    let plan_only = engine.run(&q, ReoptMode::PlanOnly).unwrap();
+    let plan_only = run(&engine, &q, ReoptMode::PlanOnly, engine.default_env()).unwrap();
     assert!(
         !plan_only.events.iter().any(|e| e.starts_with("memory:")),
         "PlanOnly must not re-allocate: {:?}",
         plan_only.events
     );
     assert_eq!(plan_only.memory_reallocs, 0);
-    let mem_only = engine.run(&q, ReoptMode::MemoryOnly).unwrap();
+    let mem_only = run(&engine, &q, ReoptMode::MemoryOnly, engine.default_env()).unwrap();
     assert_eq!(mem_only.plan_switches, 0);
     assert!(
         !mem_only.events.iter().any(|e| e.contains("ACCEPT")),
@@ -582,7 +598,7 @@ fn stats_feedback_heals_stale_catalog() {
 
     // Flag off: the catalog stays stale after the query.
     let engine = build(false);
-    engine.run(&q, ReoptMode::Full).unwrap();
+    run(&engine, &q, ReoptMode::Full, engine.default_env()).unwrap();
     assert_eq!(
         engine.catalog().table("r").unwrap().stats.unwrap().rows,
         200,
@@ -591,7 +607,7 @@ fn stats_feedback_heals_stale_catalog() {
 
     // Flag on: the stale table is healed to its true cardinality.
     let engine = build(true);
-    let out = engine.run(&q, ReoptMode::Full).unwrap();
+    let out = run(&engine, &q, ReoptMode::Full, engine.default_env()).unwrap();
     assert_eq!(out.rows.len(), 2000, "join result sanity");
     let healed = engine.catalog().table("r").unwrap();
     let stats = healed.stats.unwrap();
@@ -620,7 +636,7 @@ fn stats_feedback_heals_stale_catalog() {
 
     // And the *next* query plans against the healed numbers: the scan
     // of r is now estimated at its true cardinality.
-    let second = engine.run(&q, ReoptMode::Off).unwrap();
+    let second = run(&engine, &q, ReoptMode::Off, engine.default_env()).unwrap();
     let mut scan_est = None;
     second.final_plan.walk(&mut |n| {
         if let mq_plan::PhysOp::SeqScan { spec, .. } = &n.op {
@@ -638,7 +654,7 @@ fn stats_feedback_heals_stale_catalog() {
 fn outcome_report_is_complete() {
     let engine = stale_fact_engine();
     let q = stale_fact_query();
-    let full = engine.run(&q, ReoptMode::Full).unwrap();
+    let full = run(&engine, &q, ReoptMode::Full, engine.default_env()).unwrap();
     let report = full.report();
     assert!(report.contains("Full mode"), "{report}");
     assert!(report.contains(&format!("rows: {}", full.rows.len())));
@@ -653,7 +669,7 @@ fn outcome_report_is_complete() {
 
     // A quiet run reports the absence of events rather than an empty
     // section.
-    let off = engine.run(&q, ReoptMode::Off).unwrap();
+    let off = run(&engine, &q, ReoptMode::Off, engine.default_env()).unwrap();
     let quiet = off.report();
     assert!(quiet.contains("controller events: none"), "{quiet}");
     assert!(quiet.contains("plan switches: 0"));
@@ -721,7 +737,9 @@ fn transient_fault_recovers_via_segment_retry() {
     use mq_common::{FaultInjector, FaultKind, FaultSite, FaultSpec};
     let engine = small_engine();
     let q = group_by_query();
-    let oracle = engine.run(&q, ReoptMode::Off).unwrap().rows;
+    let oracle = run(&engine, &q, ReoptMode::Off, engine.default_env())
+        .unwrap()
+        .rows;
 
     let inj = FaultInjector::new(
         vec![FaultSpec {
@@ -733,8 +751,7 @@ fn transient_fault_recovers_via_segment_retry() {
     );
     let mut env = engine.default_env();
     env.fault = Some(inj.clone());
-    let out = engine
-        .run_with(&q, ReoptMode::Off, env)
+    let out = run(&engine, &q, ReoptMode::Off, env)
         .expect("transient fault must be absorbed by a segment retry");
     assert!(out.segment_retries >= 1, "expected a segment retry");
     assert_eq!(inj.fired().transient, 1, "fault must fire exactly once");
@@ -764,9 +781,8 @@ fn permanent_fault_fails_cleanly_without_leaks() {
     );
     let mut env = engine.default_env();
     env.fault = Some(inj.clone());
-    let err = engine
-        .run_with(&q, ReoptMode::Off, env)
-        .expect_err("permanent fault must fail the query");
+    let err =
+        run(&engine, &q, ReoptMode::Off, env).expect_err("permanent fault must fail the query");
     assert_eq!(err.kind(), "storage");
     assert!(!err.is_transient());
     assert_eq!(inj.fired().permanent, 1);
@@ -794,9 +810,7 @@ fn transient_faults_beyond_the_retry_limit_fail() {
     let inj = FaultInjector::new(specs, None);
     let mut env = engine.default_env();
     env.fault = Some(inj.clone());
-    let err = engine
-        .run_with(&q, ReoptMode::Off, env)
-        .expect_err("retry budget exhausted");
+    let err = run(&engine, &q, ReoptMode::Off, env).expect_err("retry budget exhausted");
     assert!(err.is_transient());
     assert_eq!(inj.fired().transient as u32, limit + 1);
     let audit = engine.audit();
@@ -810,7 +824,7 @@ fn segment_retries_charge_simulated_backoff() {
     use mq_common::{FaultInjector, FaultKind, FaultSite, FaultSpec};
     let engine = small_engine();
     let q = group_by_query();
-    let clean = engine.run(&q, ReoptMode::Off).unwrap();
+    let clean = run(&engine, &q, ReoptMode::Off, engine.default_env()).unwrap();
 
     let inj = FaultInjector::new(
         vec![FaultSpec {
@@ -822,7 +836,7 @@ fn segment_retries_charge_simulated_backoff() {
     );
     let mut env = engine.default_env();
     env.fault = Some(inj);
-    let out = engine.run_with(&q, ReoptMode::Off, env).unwrap();
+    let out = run(&engine, &q, ReoptMode::Off, env).unwrap();
     // The faulted run re-ran the segment and paid at least the first
     // backoff step on top of the clean run's time.
     assert!(
@@ -885,16 +899,17 @@ fn cache_promotes_and_reuses_across_queries() {
     let q = stale_fact_query();
 
     // Oracle: an identically-loaded engine with the cache off.
-    let off = stale_fact_engine().run(&q, ReoptMode::Full).unwrap();
+    let fresh = stale_fact_engine();
+    let off = run(&fresh, &q, ReoptMode::Full, fresh.default_env()).unwrap();
 
-    let cold = engine.run(&q, ReoptMode::Full).unwrap();
+    let cold = run(&engine, &q, ReoptMode::Full, engine.default_env()).unwrap();
     assert!(cold.plan_switches >= 1, "cold run must switch plans");
     let s = engine.cache_stats();
     assert!(s.promotions >= 1, "switch temp must be promoted: {s:?}");
     assert_eq!(s.hits, 0, "nothing to hit on the cold run");
     assert!(!has_cached_scan(&cold.final_plan));
 
-    let warm = engine.run(&q, ReoptMode::Full).unwrap();
+    let warm = run(&engine, &q, ReoptMode::Full, engine.default_env()).unwrap();
     let s = engine.cache_stats();
     assert!(
         s.hits >= 1,
@@ -951,7 +966,7 @@ fn writes_invalidate_dependent_cache_entries() {
     let twin = stale_fact_engine(); // cache off, same data
     let q = stale_fact_query();
 
-    engine.run(&q, ReoptMode::Full).unwrap();
+    run(&engine, &q, ReoptMode::Full, engine.default_env()).unwrap();
     assert!(engine.cache_stats().promotions >= 1);
 
     // The new row passes every predicate, so a stale cache entry would
@@ -969,8 +984,8 @@ fn writes_invalidate_dependent_cache_entries() {
     let s = engine.cache_stats();
     assert!(s.invalidations >= 1, "write must invalidate: {s:?}");
 
-    let post = engine.run(&q, ReoptMode::Full).unwrap();
-    let oracle = twin.run(&q, ReoptMode::Full).unwrap();
+    let post = run(&engine, &q, ReoptMode::Full, engine.default_env()).unwrap();
+    let oracle = run(&twin, &q, ReoptMode::Full, twin.default_env()).unwrap();
     assert_eq!(
         canon_rows(&post),
         canon_rows(&oracle),
@@ -996,7 +1011,7 @@ fn crash_at_promotion_is_recoverable() {
     let inj = FaultInjector::none();
     let mut env = counting.default_env();
     env.fault = Some(inj.clone());
-    let oracle = counting.run_with(&q, ReoptMode::Full, env).unwrap();
+    let oracle = run(&counting, &q, ReoptMode::Full, env).unwrap();
     let boundaries = inj.ops_at(FaultSite::SegmentBoundary);
     assert!(
         counting.cache_stats().promotions >= 1,
@@ -1017,8 +1032,7 @@ fn crash_at_promotion_is_recoverable() {
     let mut env = engine.default_env();
     let qid = env.query_id;
     env.fault = Some(inj.clone());
-    let err = engine
-        .run_with(&q, ReoptMode::Full, env)
+    let err = run(&engine, &q, ReoptMode::Full, env)
         .expect_err("crash at the promotion kill point must unwind");
     assert_eq!(err.kind(), "crash");
     assert_eq!(inj.fired().crashes, 1);
@@ -1042,7 +1056,7 @@ fn crash_at_promotion_is_recoverable() {
     // before the crash survived it: the repeated family now plans with
     // truthful cardinalities, answers correctly, and no longer needs
     // the mid-query switch the first run paid for.
-    let after = engine.run(&q, ReoptMode::Full).unwrap();
+    let after = run(&engine, &q, ReoptMode::Full, engine.default_env()).unwrap();
     assert_eq!(canon_rows(&after), canon_rows(&oracle));
     assert_eq!(after.plan_switches, 0, "{:?}", after.events);
     assert!(engine.feedback().applied() >= 1);
@@ -1057,7 +1071,7 @@ fn crash_at_promotion_is_recoverable() {
 fn cache_survives_disable_and_respects_budget() {
     let mut engine = stale_fact_engine_with(cache_cfg());
     let q = stale_fact_query();
-    engine.run(&q, ReoptMode::Full).unwrap();
+    run(&engine, &q, ReoptMode::Full, engine.default_env()).unwrap();
     let s = engine.cache_stats();
     assert!(s.promotions >= 1 && s.entries >= 1);
 
@@ -1066,13 +1080,13 @@ fn cache_survives_disable_and_respects_budget() {
     cfg.cache_enabled = false;
     engine.set_config(cfg).unwrap();
     assert!(engine.cache_stats().entries >= 1, "entries survive disable");
-    let out = engine.run(&q, ReoptMode::Full).unwrap();
+    let out = run(&engine, &q, ReoptMode::Full, engine.default_env()).unwrap();
     assert!(!has_cached_scan(&out.final_plan));
     assert_eq!(engine.cache_stats().hits, 0);
 
     // Re-enable: starts warm.
     engine.set_config(cache_cfg()).unwrap();
-    let out = engine.run(&q, ReoptMode::Full).unwrap();
+    let out = run(&engine, &q, ReoptMode::Full, engine.default_env()).unwrap();
     assert!(has_cached_scan(&out.final_plan), "re-enable starts warm");
     assert!(engine.cache_stats().hits >= 1);
 

@@ -19,7 +19,8 @@
 //!   re-allocates memory for not-yet-started operators (§2.3) and
 //!   applies the Equation 1 / Equation 2 heuristics (with a calibrated
 //!   `T_opt`) to decide whether to re-optimize and switch plans;
-//! * [`engine`] — the top-level [`engine::Engine`]: optimize → insert
+//! * [`engine`] — the top-level [`engine::Engine`], whose one query
+//!   entry point [`engine::Engine::execute`] runs optimize → insert
 //!   collectors → allocate memory → execute with the controller
 //!   attached, looping through plan switches until the query finishes.
 //!
@@ -39,7 +40,9 @@ pub mod scia;
 mod engine_tests;
 
 pub use controller::ReoptController;
-pub use engine::{AuditReport, Engine, JobEnv, QueryOutcome, RecoveryReport};
+pub use engine::{
+    AuditReport, Engine, ExecRequest, JobEnv, PlanSource, QueryOutcome, RecoveryReport,
+};
 pub use explain::{explain_analyze, explain_plan};
 pub use manifest::{CheckpointRecord, ManifestStore, QueryManifest};
 pub use mq_cache::{CacheEntry, CacheStats, FeedbackStore, SubPlanCache};
@@ -62,6 +65,16 @@ pub enum ReoptMode {
 }
 
 impl ReoptMode {
+    /// The mode's name, as traces and reports print it.
+    pub fn name(&self) -> &'static str {
+        match self {
+            ReoptMode::Off => "off",
+            ReoptMode::MemoryOnly => "memory-only",
+            ReoptMode::PlanOnly => "plan-only",
+            ReoptMode::Full => "full",
+        }
+    }
+
     /// Whether statistics collectors are inserted at all.
     pub fn collects(&self) -> bool {
         !matches!(self, ReoptMode::Off)
@@ -80,11 +93,6 @@ impl ReoptMode {
 
 impl std::fmt::Display for ReoptMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            ReoptMode::Off => "off",
-            ReoptMode::MemoryOnly => "memory-only",
-            ReoptMode::PlanOnly => "plan-only",
-            ReoptMode::Full => "full",
-        })
+        f.write_str(self.name())
     }
 }

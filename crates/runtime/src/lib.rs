@@ -39,7 +39,7 @@ use mq_common::{CancelToken, CostSnapshot, FaultInjector, MqError, Result, SimCl
 use mq_memory::{MemoryBroker, MemoryManager};
 use mq_par::ParSpec;
 use mq_plan::LogicalPlan;
-use mq_reopt::{Engine, JobEnv, QueryOutcome, ReoptMode};
+use mq_reopt::{Engine, ExecRequest, JobEnv, PlanSource, QueryOutcome, ReoptMode};
 
 mod report;
 mod workload;
@@ -285,10 +285,12 @@ fn run_admitted(
         // its normalized family key (plan-only queries have no text to
         // normalize and always take the ordinary path).
         let env = make_env(format!("tmp_reopt_q{query_id}_"));
-        let mut outcome = match sql {
-            Some(sql) => engine.run_with_sql(plan, sql, mode, env),
-            None => engine.run_with(plan, mode, env),
-        };
+        let mut outcome = engine.execute(ExecRequest {
+            logical: plan,
+            mode,
+            env,
+            source: sql.map_or(PlanSource::Plan, PlanSource::Sql),
+        });
         // crashed → recovering → done. The job keeps its memory lease
         // across attempts (a recovering query does not re-queue for
         // admission), and each attempt charges a doubling simulated

@@ -224,7 +224,12 @@ fn grant_denials_under_contended_broker_leak_nothing() {
     let oracle = {
         let plan = mq_sql::plan_sql(sql, engine.catalog()).expect("plan");
         let mut rows: Vec<String> = engine
-            .run(&plan, mq_reopt::ReoptMode::Off)
+            .execute(mq_reopt::ExecRequest {
+                logical: &plan,
+                mode: mq_reopt::ReoptMode::Off,
+                env: engine.default_env(),
+                source: mq_reopt::PlanSource::Plan,
+            })
             .expect("oracle")
             .rows
             .iter()

@@ -23,7 +23,7 @@ use midq::common::{DataType, DetRng, EngineConfig, Row, Value};
 use midq::expr::{cmp, col, lit, CmpOp};
 use midq::plan::PhysOp;
 use midq::stats::HistogramKind;
-use midq::{Engine, LogicalPlan, ReoptMode};
+use midq::{Engine, ExecRequest, LogicalPlan, PlanSource, ReoptMode};
 
 fn build(feedback: bool) -> midq::Result<Engine> {
     let cfg = EngineConfig {
@@ -117,7 +117,12 @@ fn main() -> midq::Result<()> {
     );
     for feedback in [false, true] {
         let engine = build(feedback)?;
-        let a = engine.run(&query_a, ReoptMode::Full)?;
+        let a = engine.execute(ExecRequest {
+            logical: &query_a,
+            mode: ReoptMode::Full,
+            env: engine.default_env(),
+            source: PlanSource::Plan,
+        })?;
 
         // What the catalog now believes `v < 1` selects on fact: the
         // optimizer's estimate at the filtered scan of query B.
@@ -136,7 +141,12 @@ fn main() -> midq::Result<()> {
             }
         });
 
-        let b = engine.run(&query_b, ReoptMode::Off)?;
+        let b = engine.execute(ExecRequest {
+            logical: &query_b,
+            mode: ReoptMode::Off,
+            env: engine.default_env(),
+            source: PlanSource::Plan,
+        })?;
         let mut inl = false;
         b.final_plan.walk(&mut |n| {
             if matches!(n.op, PhysOp::IndexNLJoin { .. }) {

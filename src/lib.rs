@@ -90,8 +90,8 @@ pub use mq_common::{EngineConfig, MqError, Result};
 pub use mq_plan::LogicalPlan;
 pub use mq_reopt::SnapshotReport;
 pub use mq_reopt::{
-    explain_analyze, explain_plan, normalize, Engine, NormalizedQuery, PlanCacheStats,
-    QueryOutcome, RecoveryReport, ReoptMode,
+    explain_analyze, explain_plan, normalize, Engine, ExecRequest, NormalizedQuery, PlanCacheStats,
+    PlanSource, QueryOutcome, RecoveryReport, ReoptMode,
 };
 pub use mq_runtime::{JobResult, Runtime, Session, Workload, WorkloadQuery, WorkloadReport};
 pub use mq_tpcd::TpcdConfig;
@@ -393,12 +393,6 @@ impl Database {
         })
     }
 
-    /// Run a SQL query under the given re-optimization mode.
-    #[deprecated(note = "use db.query(sql).mode(mode).run()")]
-    pub fn run_sql(&self, sql_text: &str, mode: ReoptMode) -> Result<QueryOutcome> {
-        self.query(sql_text).mode(mode).run()
-    }
-
     /// Execute any SQL statement: SELECT runs under `mode`; CREATE
     /// TABLE / CREATE INDEX / INSERT / ANALYZE act on the catalog.
     ///
@@ -418,11 +412,13 @@ impl Database {
         match mq_sql::parse_statement(sql_text)? {
             mq_sql::Statement::Select(q) => {
                 let plan = mq_sql::bind(&q, self.engine.catalog())?;
-                Ok(SqlOutcome::Query(Box::new(self.engine.run_with_sql(
-                    &plan,
-                    sql_text,
-                    mode,
-                    self.engine.default_env(),
+                Ok(SqlOutcome::Query(Box::new(self.engine.execute(
+                    ExecRequest {
+                        logical: &plan,
+                        mode,
+                        env: self.engine.default_env(),
+                        source: PlanSource::Sql(sql_text),
+                    },
                 )?)))
             }
             mq_sql::Statement::CreateTable { name, columns } => {
@@ -475,64 +471,6 @@ impl Database {
                 Ok(SqlOutcome::Command(format!("analyzed {table}")))
             }
         }
-    }
-
-    /// Run a logical plan under the given re-optimization mode.
-    #[deprecated(note = "use db.query_plan(&plan).mode(mode).run()")]
-    pub fn run(&self, plan: &LogicalPlan, mode: ReoptMode) -> Result<QueryOutcome> {
-        self.query_plan(plan).mode(mode).run()
-    }
-
-    /// Run a logical plan with an observability handle attached.
-    #[deprecated(note = "use db.query_plan(&plan).mode(mode).observed(obs).run()")]
-    pub fn run_observed(
-        &self,
-        plan: &LogicalPlan,
-        mode: ReoptMode,
-        obs: &mq_obs::Obs,
-    ) -> Result<QueryOutcome> {
-        self.query_plan(plan).mode(mode).observed(obs).run()
-    }
-
-    /// Run a logical plan through the intra-query partitioned driver.
-    #[deprecated(note = "use db.query_plan(&plan).mode(mode).partitions(p).run()")]
-    pub fn run_partitioned(
-        &self,
-        plan: &LogicalPlan,
-        mode: ReoptMode,
-        partitions: usize,
-    ) -> Result<QueryOutcome> {
-        self.query_plan(plan)
-            .mode(mode)
-            .partitions(partitions)
-            .run()
-    }
-
-    /// Partitioned run with an observability handle attached.
-    #[deprecated(note = "use db.query_plan(&plan).mode(mode).partitions(p).observed(obs).run()")]
-    pub fn run_partitioned_observed(
-        &self,
-        plan: &LogicalPlan,
-        mode: ReoptMode,
-        partitions: usize,
-        obs: &mq_obs::Obs,
-    ) -> Result<QueryOutcome> {
-        self.query_plan(plan)
-            .mode(mode)
-            .partitions(partitions)
-            .observed(obs)
-            .run()
-    }
-
-    /// Parse and run SQL with an observability handle attached.
-    #[deprecated(note = "use db.query(sql).mode(mode).observed(obs).run()")]
-    pub fn run_sql_observed(
-        &self,
-        sql_text: &str,
-        mode: ReoptMode,
-        obs: &mq_obs::Obs,
-    ) -> Result<QueryOutcome> {
-        self.query(sql_text).mode(mode).observed(obs).run()
     }
 
     /// EXPLAIN: the annotated physical plan the optimizer would run.
@@ -603,13 +541,20 @@ impl<'a> Query<'a> {
             env.par = Some(mq_reopt::ParSpec::new(p));
         }
         env.obs = self.obs;
-        match self.target {
+        let planned;
+        let (logical, source) = match self.target {
             Target::Sql(sql_text) => {
-                let plan = self.db.plan_sql(sql_text)?;
-                engine.run_with_sql(&plan, sql_text, self.mode, env)
+                planned = self.db.plan_sql(sql_text)?;
+                (&planned, PlanSource::Sql(sql_text))
             }
-            Target::Plan(plan) => engine.run_with(plan, self.mode, env),
-        }
+            Target::Plan(plan) => (plan, PlanSource::Plan),
+        };
+        engine.execute(ExecRequest {
+            logical,
+            mode: self.mode,
+            env,
+            source,
+        })
     }
 }
 
@@ -655,12 +600,14 @@ impl Prepared {
     pub fn run_mode(&self, params: &[Value], mode: ReoptMode) -> Result<QueryOutcome> {
         let bound = self.prepared.bind(params)?;
         let logical = mq_sql::plan_sql(&bound.sql, self.engine.catalog())?;
-        self.engine.run_prepared(
-            &logical,
-            &bound.sql,
-            &bound.norm,
+        self.engine.execute(ExecRequest {
+            logical: &logical,
             mode,
-            self.engine.default_env(),
-        )
+            env: self.engine.default_env(),
+            source: PlanSource::Prepared {
+                sql: &bound.sql,
+                norm: &bound.norm,
+            },
+        })
     }
 }

@@ -10,7 +10,7 @@
 use midq::common::EngineConfig;
 use midq::obs::{json_str, JsonlSink, MetricsRegistry, Obs};
 use midq::tpcd::{queries, TpcdConfig};
-use midq::{Database, ReoptMode, Workload, WorkloadQuery};
+use midq::{Database, ExecRequest, PlanSource, ReoptMode, Workload, WorkloadQuery};
 
 fn load_db(scale: f64, stale: f64) -> Database {
     load_db_cfg(EngineConfig::default(), scale, stale, None)
@@ -326,7 +326,14 @@ fn partitioned_crash_at_exchange_barrier_leaks_nothing() {
     let mut env = engine.default_env();
     env.par = Some(ParSpec::new(4));
     env.fault = Some(counter.clone());
-    let oracle = engine.run_with(&q, ReoptMode::PlanOnly, env).unwrap();
+    let oracle = engine
+        .execute(ExecRequest {
+            logical: &q,
+            mode: ReoptMode::PlanOnly,
+            env,
+            source: PlanSource::Plan,
+        })
+        .unwrap();
     let boundaries = counter.ops_at(FaultSite::SegmentBoundary);
     assert!(
         boundaries > 2,
@@ -345,7 +352,14 @@ fn partitioned_crash_at_exchange_barrier_leaks_nothing() {
         None,
     ));
     let query_id = env.query_id;
-    let err = engine.run_with(&q, ReoptMode::PlanOnly, env).unwrap_err();
+    let err = engine
+        .execute(ExecRequest {
+            logical: &q,
+            mode: ReoptMode::PlanOnly,
+            env,
+            source: PlanSource::Plan,
+        })
+        .unwrap_err();
     assert!(matches!(err, MqError::Crash(_)), "expected crash: {err}");
 
     // Recover on a fresh environment and compare against the oracle.

@@ -15,8 +15,12 @@
 
 use midq::common::{EngineConfig, FaultInjector, FaultKind, FaultSite, FaultSpec, MqError, Value};
 use midq::obs::{json_str, JsonlSink, Obs};
+use midq::reopt::JobEnv;
 use midq::tpcd::{queries, TpcdConfig};
-use midq::{Database, QueryOutcome, ReoptMode, Workload, WorkloadQuery};
+use midq::{
+    Database, Engine, ExecRequest, LogicalPlan, PlanSource, QueryOutcome, ReoptMode, Workload,
+    WorkloadQuery,
+};
 
 /// The salvage-friendly load: bench scale with the paper's bare
 /// switch-acceptance margin, so the chaos queries actually complete
@@ -72,6 +76,16 @@ fn sorted_rows(outcome: &QueryOutcome) -> Vec<String> {
     rows
 }
 
+/// Run `q` in PlanOnly mode — the regime where queries checkpoint.
+fn run_plan_only(engine: &Engine, q: &LogicalPlan, env: JobEnv) -> midq::Result<QueryOutcome> {
+    engine.execute(ExecRequest {
+        logical: q,
+        mode: ReoptMode::PlanOnly,
+        env,
+        source: PlanSource::Plan,
+    })
+}
+
 fn crash_at(site: FaultSite, at: u64) -> FaultInjector {
     FaultInjector::new(
         vec![FaultSpec {
@@ -100,7 +114,7 @@ fn crash_after_checkpoint_salvages_and_matches_oracle() {
     let mut env = engine.default_env();
     env.clock = cold_clock.clone();
     env.fault = Some(counter.clone());
-    let oracle = engine.run_with(&q, ReoptMode::PlanOnly, env).unwrap();
+    let oracle = run_plan_only(engine, &q, env).unwrap();
     assert!(oracle.plan_switches > 0, "Q10 must switch to checkpoint");
     let cold_ms = cold_clock.elapsed_ms(&cfg);
     let boundaries = counter.ops_at(FaultSite::SegmentBoundary);
@@ -112,7 +126,7 @@ fn crash_after_checkpoint_salvages_and_matches_oracle() {
     env.fault = Some(crash_at(FaultSite::SegmentBoundary, boundaries));
     env.obs = Some(obs.clone());
     let query_id = env.query_id;
-    let err = engine.run_with(&q, ReoptMode::PlanOnly, env).unwrap_err();
+    let err = run_plan_only(engine, &q, env).unwrap_err();
     assert!(matches!(err, MqError::Crash(_)), "expected crash: {err}");
     assert_eq!(engine.manifests().open_queries(), vec![query_id]);
 
@@ -170,7 +184,7 @@ fn crash_during_recovery_rolls_generation_and_converges() {
     let counter = FaultInjector::none();
     let mut env = engine.default_env();
     env.fault = Some(counter.clone());
-    let oracle = engine.run_with(&q, ReoptMode::PlanOnly, env).unwrap();
+    let oracle = run_plan_only(engine, &q, env).unwrap();
     let boundaries = counter.ops_at(FaultSite::SegmentBoundary);
     assert!(boundaries >= 2, "need >= 2 boundaries, got {boundaries}");
 
@@ -194,7 +208,7 @@ fn crash_during_recovery_rolls_generation_and_converges() {
     let mut env = engine.default_env();
     env.fault = Some(inj.clone());
     let query_id = env.query_id;
-    let err = engine.run_with(&q, ReoptMode::PlanOnly, env).unwrap_err();
+    let err = run_plan_only(engine, &q, env).unwrap_err();
     assert!(matches!(err, MqError::Crash(_)), "{err}");
     let gen0 = engine.manifests().get(query_id).unwrap().generation;
 
@@ -230,9 +244,7 @@ fn workload_recovers_crashed_query_in_place() {
     let db = small_db();
     let mut env = db.engine().default_env();
     env.fault = Some(counter.clone());
-    db.engine()
-        .run_with(&queries::q3(), ReoptMode::PlanOnly, env)
-        .unwrap();
+    run_plan_only(db.engine(), &queries::q3(), env).unwrap();
     let boundaries = counter.ops_at(FaultSite::SegmentBoundary);
     assert!(boundaries >= 1, "Q3 crossed no segment boundary");
 
@@ -313,14 +325,14 @@ fn stale_sweep_reclaims_unrecovered_crash_debris() {
     let counter = FaultInjector::none();
     let mut env = engine.default_env();
     env.fault = Some(counter.clone());
-    engine.run_with(&q, ReoptMode::PlanOnly, env).unwrap();
+    run_plan_only(engine, &q, env).unwrap();
     let writes = counter.ops_at(FaultSite::PageWrite);
     assert!(writes > 0, "Q3 wrote no pages");
 
     let mut env = engine.default_env();
     env.fault = Some(crash_at(FaultSite::PageWrite, writes / 2));
     let query_id = env.query_id;
-    let err = engine.run_with(&q, ReoptMode::PlanOnly, env).unwrap_err();
+    let err = run_plan_only(engine, &q, env).unwrap_err();
     assert!(matches!(err, MqError::Crash(_)), "{err}");
 
     // While the manifest is open the debris is protected (a recovery
