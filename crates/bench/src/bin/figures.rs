@@ -5,6 +5,7 @@
 //! cargo run --release -p mq-bench --bin figures -- fig10   # one figure
 //! ```
 
+use midq::obs::ObsEvent;
 use mq_bench::recovery::recovery_figure;
 use mq_bench::{
     ablation_histogram_class, ablation_realloc_headroom, ablation_switch_margin,
@@ -274,16 +275,35 @@ fn main() {
             "{:<6} {:>14} {:>14} {:>12} {:>10}",
             "node", "est rows", "actual rows", "inaccuracy", "complete"
         );
-        let (rows, verdicts) = est_vs_actual(&setup, "Q10");
-        for r in &rows {
-            println!(
-                "{:<6} {:>14.0} {:>14} {:>12.2} {:>10}",
-                r.node, r.estimated_rows, r.observed_rows, r.inaccuracy, r.complete
-            );
+        let events = est_vs_actual(&setup, "Q10");
+        for e in &events {
+            if let ObsEvent::Collector {
+                node,
+                observed_rows,
+                estimated_rows,
+                inaccuracy,
+                complete,
+                ..
+            } = e
+            {
+                println!(
+                    "{node:<6} {estimated_rows:>14.0} {observed_rows:>14} {inaccuracy:>12.2} \
+                     {complete:>10}"
+                );
+            }
         }
         println!("re-optimization decisions:");
-        for v in &verdicts {
-            println!("  {v}");
+        for e in &events {
+            if let ObsEvent::Reopt {
+                verdict,
+                t_new_ms,
+                t_cur_ms,
+                ..
+            } = e
+            {
+                let verdict = verdict.as_str();
+                println!("  {verdict}: t_cur={t_cur_ms:.1}ms t_new={t_new_ms:.1}ms");
+            }
         }
         println!();
     }

@@ -21,6 +21,7 @@ pub mod persist;
 pub mod recovery;
 
 use midq::common::EngineConfig;
+use midq::obs::ObsEvent;
 use midq::tpcd::{queries, TpcdConfig};
 use midq::{Database, QueryOutcome, ReoptMode};
 
@@ -316,7 +317,6 @@ pub fn fig03_memory_realloc() -> Fig03 {
         off_writes: off.cost.pages_written,
         mem_writes: mem.cost.pages_written,
         reallocs: mem.memory_reallocs,
-        events: mem.events,
     }
 }
 
@@ -333,8 +333,6 @@ pub struct Fig03 {
     pub mem_writes: u64,
     /// Grant re-allocations performed.
     pub reallocs: u32,
-    /// Controller event log of the MemoryOnly run.
-    pub events: Vec<String>,
 }
 
 /// Render a Figure-10-style table as text.
@@ -421,7 +419,7 @@ pub struct PlanCacheRun {
     /// Optimizer work units this run paid (join enumeration); a
     /// plan-cache hit pays exactly zero.
     pub opt_work: u64,
-    /// Plan-cache outcome pulled from the controller event log:
+    /// Plan-cache outcome read from the query's events:
     /// `hit`, `miss`, or `stale`.
     pub outcome: &'static str,
     /// Result cardinality.
@@ -437,11 +435,12 @@ fn rendered_rows(out: &QueryOutcome) -> Vec<String> {
 }
 
 fn plancache_outcome(out: &QueryOutcome) -> &'static str {
-    if out.events.iter().any(|e| e.starts_with("plancache: stale")) {
+    let any = |f: fn(&ObsEvent) -> bool| out.events.iter().any(f);
+    if any(|e| matches!(e, ObsEvent::PlanCacheStale { .. })) {
         "stale"
-    } else if out.events.iter().any(|e| e.starts_with("plancache: hit")) {
+    } else if any(|e| matches!(e, ObsEvent::PlanCacheHit { .. })) {
         "hit"
-    } else if out.events.iter().any(|e| e.starts_with("plancache: miss")) {
+    } else if any(|e| matches!(e, ObsEvent::PlanCacheMiss)) {
         "miss"
     } else {
         "-"
@@ -781,73 +780,24 @@ pub fn par_skew(setup: &BenchSetup, z: f64, partitions: usize, theta: f64) -> (P
     (run(1e18), run(theta))
 }
 
-/// One collector checkpoint pulled out of a JSONL trace: the paper's
-/// est-vs-actual evidence row (§2.2 — "detecting suboptimality").
-#[derive(Debug, Clone)]
-pub struct EstActualRow {
-    /// Plan node id of the statistics collector.
-    pub node: u64,
-    /// Optimizer's cardinality estimate at that point.
-    pub estimated_rows: f64,
-    /// Rows the collector actually observed.
-    pub observed_rows: u64,
-    /// `max(obs/est, est/obs)` — the paper's inaccuracy factor.
-    pub inaccuracy: f64,
-    /// Whether the operator beneath had completed (end-of-segment
-    /// checkpoint) or was still mid-flight (progress checkpoint).
-    pub complete: bool,
-}
-
-/// The trace-derived experiment: run one named query under Full
-/// re-optimization with a JSONL sink attached and distill the trace
-/// into (a) the est-vs-actual table and (b) the re-opt verdict lines.
-/// This is the machine-checked version of the paper's Table 1-style
-/// narrative: which estimate was wrong, by how much, and what the
-/// re-optimizer decided about it.
-pub fn est_vs_actual(setup: &BenchSetup, name: &'static str) -> (Vec<EstActualRow>, Vec<String>) {
-    use midq::obs::{json_f64, json_str, json_u64, JsonlSink, Obs};
-
-    let db = setup.database();
+/// The est-vs-actual experiment: run one named query under Full
+/// re-optimization and return its events. The collector checkpoints
+/// line the optimizer's estimates up against the observed rows, and
+/// the re-opt verdicts say what the re-optimizer decided about them —
+/// the machine-checked version of the paper's Table 1-style narrative.
+pub fn est_vs_actual(setup: &BenchSetup, name: &'static str) -> Vec<ObsEvent> {
     let q = queries::all()
         .into_iter()
         .find(|(n, _)| *n == name)
         .unwrap_or_else(|| panic!("unknown query {name}"))
         .1;
-    let sink = std::sync::Arc::new(JsonlSink::new());
-    let obs = Obs::none().with_sink(sink.clone()).for_job(1, name);
-    db.query_plan(&q)
+    setup
+        .database()
+        .query_plan(&q)
         .mode(ReoptMode::Full)
-        .observed(&obs)
         .run()
-        .unwrap_or_else(|e| panic!("{name}: {e}"));
-
-    let mut rows = Vec::new();
-    let mut verdicts = Vec::new();
-    for line in sink.lines() {
-        match json_str(&line, "event").as_deref() {
-            Some("collector") => rows.push(EstActualRow {
-                node: json_u64(&line, "node").unwrap_or(0),
-                estimated_rows: json_f64(&line, "estimated_rows").unwrap_or(0.0),
-                observed_rows: json_u64(&line, "observed_rows").unwrap_or(0),
-                inaccuracy: json_f64(&line, "inaccuracy").unwrap_or(0.0),
-                complete: json_raw_bool(&line),
-            }),
-            Some("reopt") => {
-                let verdict = json_str(&line, "verdict").unwrap_or_default();
-                let t_cur = json_f64(&line, "t_cur_ms").unwrap_or(0.0);
-                let t_new = json_f64(&line, "t_new_ms").unwrap_or(0.0);
-                verdicts.push(format!("{verdict}: t_cur={t_cur:.1}ms t_new={t_new:.1}ms"));
-            }
-            _ => {}
-        }
-    }
-    (rows, verdicts)
-}
-
-/// `complete` is an unquoted JSON bool; [`midq::obs::json_str`] only
-/// reads quoted strings, so fall back to the raw token.
-fn json_raw_bool(line: &str) -> bool {
-    midq::obs::json_raw(line, "complete") == Some("true")
+        .unwrap_or_else(|e| panic!("{name}: {e}"))
+        .events
 }
 
 #[cfg(test)]

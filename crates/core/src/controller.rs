@@ -57,9 +57,6 @@ pub struct PendingSwitch {
     pub temp_name: String,
     /// The remainder query over the temp table.
     pub remainder: LogicalPlan,
-    /// The decision's estimated times, for the event log.
-    pub expected_new_ms: f64,
-    pub expected_cur_ms: f64,
 }
 
 /// Controller state for one execution attempt.
@@ -75,11 +72,20 @@ struct CtrlState {
     finished_consumers: HashSet<NodeId>,
     pending: Option<PendingSwitch>,
     suppressed: bool,
-    events: Vec<String>,
+    events: Vec<ObsEvent>,
     reallocs: u32,
     collector_reports: u32,
     temp_counter: u32,
     switches_done: u32,
+}
+
+impl CtrlState {
+    /// Buffer `ev` for the query's outcome and emit it to any scoped
+    /// observability sink.
+    fn record(&mut self, ev: ObsEvent) {
+        mq_obs::emit(|| ev.clone());
+        self.events.push(ev);
+    }
 }
 
 /// The runtime controller; shared (`Rc`) between the engine and the
@@ -169,16 +175,16 @@ impl ReoptController {
         self.state.borrow_mut().suppressed = v;
     }
 
-    /// Event log (drained by the engine into the outcome).
-    pub fn take_events(&self) -> Vec<String> {
+    /// The query's recorded events (drained by the engine into the
+    /// outcome).
+    pub fn take_events(&self) -> Vec<ObsEvent> {
         std::mem::take(&mut self.state.borrow_mut().events)
     }
 
-    /// Append an engine-side event (segment retries, cleanup oddities)
-    /// to the query's event log.
-    pub fn note(&self, msg: String) {
-        let mut st = self.state.borrow_mut();
-        self.log(&mut st, msg);
+    /// Record an engine-side decision (plan-cache, cache, feedback,
+    /// segment retry) in the query's event buffer and emit it.
+    pub fn record(&self, ev: ObsEvent) {
+        self.state.borrow_mut().record(ev);
     }
 
     /// (memory re-allocations, collector reports) so far.
@@ -203,10 +209,6 @@ impl ReoptController {
             .filter(|o| o.complete)
             .cloned()
             .collect()
-    }
-
-    fn log(&self, st: &mut CtrlState, msg: String) {
-        st.events.push(msg);
     }
 
     /// Mark the blocking child subtree of `node` as completed and the
@@ -282,11 +284,7 @@ impl ReoptController {
                 if let Some(p) = st.plan.as_mut().and_then(|p| p.find_mut(g.node)) {
                     p.annot.mem_grant_bytes = g.granted;
                 }
-                self.log(
-                    st,
-                    format!("memory: {} grant {} -> {} bytes", g.node, old, g.granted),
-                );
-                mq_obs::emit(|| ObsEvent::GrantChange {
+                st.record(ObsEvent::GrantChange {
                     node: g.node.0 as u64,
                     old_bytes: old as u64,
                     new_bytes: g.granted as u64,
@@ -341,21 +339,24 @@ impl ReoptController {
                 Some((r.max(1.0 / r.max(1e-9)) - 1.0).abs())
             })
             .fold(0.0f64, f64::max);
+        let reopt = |verdict, t_new_ms, t_mat_ms, t_cur_ms| ObsEvent::Reopt {
+            node: node.0 as u64,
+            verdict,
+            t_new_ms,
+            t_mat_ms,
+            t_cur_ms,
+            t_cur_improved_ms: t_cur_improved,
+            t_cur_planned_ms: t_cur_optimizer,
+            degradation,
+            divergence: stat_divergence,
+        };
         if degradation <= self.cfg.theta2 && stat_divergence <= self.cfg.theta2 {
-            self.log(
-                st,
-                format!(
-                    "replan@{node}: below θ2 (time degradation {degradation:.2}, stat divergence {stat_divergence:.2})"
-                ),
-            );
-            mq_obs::emit(|| ObsEvent::Reopt {
-                node: node.0 as u64,
-                verdict: ReoptVerdict::BelowThreshold,
-                t_new_ms: 0.0,
-                t_cur_ms: t_cur_improved,
-                degradation,
-                divergence: stat_divergence,
-            });
+            st.record(reopt(
+                ReoptVerdict::BelowThreshold,
+                0.0,
+                0.0,
+                t_cur_improved,
+            ));
             return Ok(None);
         }
 
@@ -371,20 +372,7 @@ impl ReoptController {
         // left of the query.
         let t_opt_est = self.calibration.estimate_ms(joins, &self.cfg);
         if t_opt_est / t_cur_improved > self.cfg.theta1 {
-            self.log(
-                st,
-                format!(
-                    "replan@{node}: skipped by Eq.1 (T_opt {t_opt_est:.1}ms vs remaining {t_cur_improved:.1}ms)"
-                ),
-            );
-            mq_obs::emit(|| ObsEvent::Reopt {
-                node: node.0 as u64,
-                verdict: ReoptVerdict::Eq1Skip,
-                t_new_ms: t_opt_est,
-                t_cur_ms: t_cur_improved,
-                degradation,
-                divergence: stat_divergence,
-            });
+            st.record(reopt(ReoptVerdict::Eq1Skip, t_opt_est, 0.0, t_cur_improved));
             return Ok(None);
         }
 
@@ -495,42 +483,24 @@ impl ReoptController {
             // coins near break-even; the margin keeps only switches
             // whose predicted win survives estimate noise.
             if (t_new + t_mat) * self.cfg.switch_margin < t_cur_basis {
-                self.log(
-                    st,
-                    format!(
-                        "replan@{node}: ACCEPT (new {t_new:.1}ms + mat {t_mat:.1}ms < continue {t_cur_basis:.1}ms; trigger improved {t_cur_improved:.1}ms vs planned {t_cur_optimizer:.1}ms)"
-                    ),
-                );
-                mq_obs::emit(|| ObsEvent::Reopt {
-                    node: node.0 as u64,
-                    verdict: ReoptVerdict::Accept,
-                    t_new_ms: t_new + t_mat,
-                    t_cur_ms: t_cur_basis,
-                    degradation,
-                    divergence: stat_divergence,
-                });
+                st.record(reopt(
+                    ReoptVerdict::Accept,
+                    t_new + t_mat,
+                    t_mat,
+                    t_cur_basis,
+                ));
                 Ok(Some(PendingSwitch {
                     cut: node,
                     temp_name: temp_name.clone(),
                     remainder,
-                    expected_new_ms: t_new + t_mat,
-                    expected_cur_ms: t_cur_basis,
                 }))
             } else {
-                self.log(
-                    st,
-                    format!(
-                        "replan@{node}: rejected (new {t_new:.1}ms + mat {t_mat:.1}ms ≥ continue {t_cur_basis:.1}ms)"
-                    ),
-                );
-                mq_obs::emit(|| ObsEvent::Reopt {
-                    node: node.0 as u64,
-                    verdict: ReoptVerdict::RejectCost,
-                    t_new_ms: t_new + t_mat,
-                    t_cur_ms: t_cur_basis,
-                    degradation,
-                    divergence: stat_divergence,
-                });
+                st.record(reopt(
+                    ReoptVerdict::RejectCost,
+                    t_new + t_mat,
+                    t_mat,
+                    t_cur_basis,
+                ));
                 Ok(None)
             }
         };
@@ -539,13 +509,14 @@ impl ReoptController {
             Ok(Some(_)) => {}
             _ => {
                 // A failed placeholder drop must not fail the query (it
-                // was running fine); log it — the engine audit flags
+                // was running fine); record it — the engine audit flags
                 // any survivor.
-                if let Err(e) = self.catalog.drop_table(&temp_name) {
-                    self.log(
-                        st,
-                        format!("cleanup: failed to drop placeholder {temp_name}: {e}"),
-                    );
+                if self.catalog.drop_table(&temp_name).is_err() {
+                    st.record(ObsEvent::Cleanup {
+                        temp_tables: 0,
+                        temp_files: 0,
+                        failures: 1,
+                    });
                 }
                 let _ = self.storage.drop_file(placeholder_file);
             }
@@ -630,18 +601,13 @@ impl ExecMonitor for ReoptController {
             return Ok(());
         }
         st.progress_ratio.insert(node, ratio);
-        self.log(
-            &mut st,
-            format!(
-                "progress {node}: ≥{rows} rows vs estimate {est:.0} — provisional re-allocation"
-            ),
-        );
-        mq_obs::emit(|| ObsEvent::Collector {
+        st.record(ObsEvent::Collector {
             node: node.0 as u64,
             observed_rows: rows,
             estimated_rows: est,
             inaccuracy: inaccuracy_factor(rows, est),
             complete: false,
+            progress: true,
         });
         st.improved.record(ObservedStats {
             node,
@@ -668,19 +634,13 @@ impl ExecMonitor for ReoptController {
             .and_then(|p| p.find(stats.node))
             .map(|n| n.annot.est_rows)
             .unwrap_or(0.0);
-        self.log(
-            &mut st,
-            format!(
-                "collector {}: observed {} rows (optimizer estimated {est:.0})",
-                stats.node, stats.rows
-            ),
-        );
-        mq_obs::emit(|| ObsEvent::Collector {
+        st.record(ObsEvent::Collector {
             node: stats.node.0 as u64,
             observed_rows: stats.rows,
             estimated_rows: est,
             inaccuracy: inaccuracy_factor(stats.rows, est),
             complete: stats.complete,
+            progress: false,
         });
         st.improved.record(stats);
         Ok(())

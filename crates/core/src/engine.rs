@@ -56,8 +56,11 @@ pub struct QueryOutcome {
     pub memory_reallocs: u32,
     /// Statistics-collector reports received.
     pub collector_reports: u32,
-    /// Human-readable controller event log.
-    pub events: Vec<String>,
+    /// The query's re-optimization decisions and the evidence behind
+    /// them, in order: collector checkpoints, grant changes, re-plan
+    /// verdicts, plan-cache, cache and feedback decisions, segment
+    /// retries. Each renders as one report line via `Display`.
+    pub events: Vec<ObsEvent>,
     /// The plan that produced the final rows (last attempt).
     pub final_plan: PhysPlan,
     /// Per-operator observed execution counters of the final attempt,
@@ -73,9 +76,9 @@ pub struct QueryOutcome {
 
 impl QueryOutcome {
     /// Render a post-execution report in the spirit of
-    /// `EXPLAIN ANALYZE`: the headline counters, the controller's event
-    /// log (every collector report, grant change and switch decision),
-    /// and the annotated plan that produced the final rows. This is the
+    /// `EXPLAIN ANALYZE`: the headline counters, the query's events
+    /// (every collector report, grant change and switch decision), and
+    /// the annotated plan that produced the final rows. This is the
     /// first thing to read when asking *why* a query did or did not
     /// re-optimize.
     pub fn report(&self) -> String {
@@ -113,7 +116,7 @@ impl QueryOutcome {
 
     /// Render the EXPLAIN ANALYZE view of this outcome: the final plan
     /// annotated with estimated vs actual per-operator rows, re-opt
-    /// point markers, and the controller's decision log.
+    /// point markers, and the query's decision events.
     pub fn explain_analyze(&self) -> String {
         crate::explain::explain_analyze(self)
     }
@@ -921,10 +924,7 @@ impl Engine {
                 // Warm family: the rebound template replaces the whole
                 // optimize step. No optimizer work is charged —
                 // skipping enumeration is the point.
-                mq_obs::emit(|| ObsEvent::PlanCacheHit { saved_work });
-                q.controller.note(format!(
-                    "plancache: hit (skipped {saved_work} optimizer work units)"
-                ));
+                q.controller.record(ObsEvent::PlanCacheHit { saved_work });
                 *plan
             }
             action => {
@@ -1312,11 +1312,7 @@ impl Engine {
     fn prepare_segment_retry(&self, q: &mut QueryRun<'_>, cause: &MqError) {
         q.segment_retries += 1;
         let retry = q.segment_retries;
-        q.controller.note(format!(
-            "segment retry {retry}/{}: transient fault absorbed ({cause})",
-            self.cfg.transient_retry_limit
-        ));
-        mq_obs::emit(|| ObsEvent::SegmentRetry {
+        q.controller.record(ObsEvent::SegmentRetry {
             retry,
             limit: self.cfg.transient_retry_limit,
             cause: cause.to_string(),
@@ -1370,18 +1366,11 @@ impl Engine {
         observed_rows: f64,
     ) {
         self.feedback.note_applied_for(fingerprint);
-        mq_obs::emit(|| ObsEvent::FeedbackApplied {
+        controller.record(ObsEvent::FeedbackApplied {
             fingerprint,
             estimated_rows,
             observed_rows,
-        });
-        controller.note(match table {
-            Some(table) => format!(
-                "feedback: planned {table} with observed {observed_rows:.0} rows (est {estimated_rows:.0}, fp {fingerprint:016x})"
-            ),
-            None => format!(
-                "feedback: est {estimated_rows:.0} -> observed {observed_rows:.0} rows (fp {fingerprint:016x})"
-            ),
+            table: table.map(str::to_string),
         });
     }
 
@@ -1403,20 +1392,13 @@ impl Engine {
         // emit the matching event before any early return below so the
         // event stream stays consistent with the probe-side counters
         // even when the plan turns out to be uncacheable.
-        match stale {
-            Some(reason) => {
-                mq_obs::emit(|| ObsEvent::PlanCacheStale { reason });
-                controller.note(format!("plancache: stale ({reason}), re-enumerated"));
-            }
-            None => {
-                mq_obs::emit(|| ObsEvent::PlanCacheMiss);
-                controller.note("plancache: miss".to_string());
-            }
-        }
-        match self.admit_template(plan, norm, sql, work_units) {
-            Ok(()) => controller.note("plancache: template entered".to_string()),
-            Err(reason) => controller.note(format!("plancache: not entered ({reason})")),
-        }
+        controller.record(match stale {
+            Some(reason) => ObsEvent::PlanCacheStale { reason },
+            None => ObsEvent::PlanCacheMiss,
+        });
+        controller.record(ObsEvent::PlanCacheAdmit {
+            refused: self.admit_template(plan, norm, sql, work_units).err(),
+        });
     }
 
     /// Capture `plan` as the template for `norm`'s family and admit it,
@@ -1528,15 +1510,11 @@ impl Engine {
                 // corrections for this table; keeping them would
                 // double-apply the same evidence.
                 self.feedback.remove_for_table(&h.table);
-                mq_obs::emit(|| ObsEvent::HistogramRefresh {
+                controller.record(ObsEvent::HistogramRefresh {
                     table: h.table.clone(),
                     column: column.clone(),
                     error_factor: err,
                 });
-                controller.note(format!(
-                    "stats: refreshed histogram {}.{} (error factor {:.1})",
-                    h.table, column, err
-                ));
             }
         }
     }
@@ -1557,8 +1535,7 @@ impl Engine {
             plan.assign_ids();
         } else if probed > 0 {
             self.cache.record_miss();
-            mq_obs::emit(|| ObsEvent::CacheMiss { probed });
-            controller.note(format!("cache: miss ({probed} sub-trees probed)"));
+            controller.record(ObsEvent::CacheMiss { probed });
         }
     }
 
@@ -1590,17 +1567,13 @@ impl Engine {
                     }
                 } else if let Some(mapping) = schema_permutation(&hit.entry.schema, &plan.schema) {
                     let e = &hit.entry;
-                    mq_obs::emit(|| ObsEvent::CacheHit {
+                    controller.record(ObsEvent::CacheHit {
                         fingerprint: fp,
                         table: e.table.clone(),
                         rows: e.rows,
                         saved_ms: e.build_cost_ms,
                         saved_bytes: e.bytes,
                     });
-                    controller.note(format!(
-                        "cache: hit {} ({} rows, ~{:.1} ms saved, fp {:016x})",
-                        e.table, e.rows, e.build_cost_ms, fp
-                    ));
                     let mut node = PhysPlan::new(
                         PhysOp::CachedScan {
                             spec: ScanSpec {

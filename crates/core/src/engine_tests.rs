@@ -3,11 +3,31 @@
 
 use mq_common::{DataType, EngineConfig, Row, Value};
 use mq_expr::{cmp, col, lit, CmpOp};
+use mq_obs::{ObsEvent, ReoptVerdict};
 use mq_plan::{AggExpr, AggFunc, LogicalPlan, PhysOp};
 use mq_stats::HistogramKind;
 
 use crate::engine::{Engine, ExecRequest, JobEnv, PlanSource, QueryOutcome};
 use crate::ReoptMode;
+
+/// The outcome's events, one report line each (assertion context).
+fn events_text(o: &QueryOutcome) -> String {
+    o.events
+        .iter()
+        .map(ToString::to_string)
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+fn is_accept(e: &ObsEvent) -> bool {
+    matches!(
+        e,
+        ObsEvent::Reopt {
+            verdict: ReoptVerdict::Accept,
+            ..
+        }
+    )
+}
 
 /// Execute a plan-built query under `env` (most tests pass
 /// [`Engine::default_env`]).
@@ -164,7 +184,7 @@ fn stale_stats_trigger_plan_switch_and_win() {
     assert!(
         full.plan_switches >= 1,
         "expected a plan switch; events:\n{}",
-        full.events.join("\n")
+        events_text(&full)
     );
     // The re-optimized execution must beat the stale-planned one by a
     // wide margin (the INL join at true cardinality is catastrophic).
@@ -173,7 +193,7 @@ fn stale_stats_trigger_plan_switch_and_win() {
         "full {:.0}ms vs off {:.0}ms; events:\n{}",
         full.time_ms,
         off.time_ms,
-        full.events.join("\n")
+        events_text(&full)
     );
     // The final plan should no longer use the indexed join.
     let mut has_inl = false;
@@ -300,15 +320,13 @@ fn memory_realloc_avoids_spill() {
     };
     assert_eq!(key(&off), key(&mem));
     // A grant was raised mid-query…
+    assert!(mem.memory_reallocs >= 1, "events:\n{}", events_text(&mem));
     assert!(
-        mem.memory_reallocs >= 1,
+        mem.events
+            .iter()
+            .any(|e| matches!(e, ObsEvent::GrantChange { .. })),
         "events:\n{}",
-        mem.events.join("\n")
-    );
-    assert!(
-        mem.events.iter().any(|e| e.starts_with("memory:")),
-        "events:\n{}",
-        mem.events.join("\n")
+        events_text(&mem)
     );
     // …and the spill it prevents is visible in the physical writes.
     assert!(
@@ -316,7 +334,7 @@ fn memory_realloc_avoids_spill() {
         "mem writes {} vs off writes {}; events:\n{}",
         mem.cost.pages_written,
         off.cost.pages_written,
-        mem.events.join("\n")
+        events_text(&mem)
     );
 }
 
@@ -352,10 +370,15 @@ fn events_are_informative() {
     let engine = stale_fact_engine();
     let q = stale_fact_query();
     let full = run(&engine, &q, ReoptMode::Full, engine.default_env()).unwrap();
-    let log = full.events.join("\n");
-    assert!(log.contains("collector"), "log:\n{log}");
+    let log = events_text(&full);
+    assert!(
+        full.events
+            .iter()
+            .any(|e| matches!(e, ObsEvent::Collector { .. })),
+        "log:\n{log}"
+    );
     if full.plan_switches > 0 {
-        assert!(log.contains("ACCEPT"), "log:\n{log}");
+        assert!(full.events.iter().any(is_accept), "log:\n{log}");
     }
 }
 
@@ -458,11 +481,7 @@ fn udf_blindness_repaired_by_reallocation() {
     let off = run(&engine, &q, ReoptMode::Off, engine.default_env()).unwrap();
     let full = run(&engine, &q, ReoptMode::Full, engine.default_env()).unwrap();
     assert_eq!(off.rows.len(), full.rows.len());
-    assert!(
-        full.memory_reallocs >= 1,
-        "events:\n{}",
-        full.events.join("\n")
-    );
+    assert!(full.memory_reallocs >= 1, "events:\n{}", events_text(&full));
     assert!(
         full.cost.pages_written < off.cost.pages_written,
         "full writes {} vs off writes {}",
@@ -543,7 +562,10 @@ fn modes_are_cleanly_separated() {
     let q = stale_fact_query();
     let plan_only = run(&engine, &q, ReoptMode::PlanOnly, engine.default_env()).unwrap();
     assert!(
-        !plan_only.events.iter().any(|e| e.starts_with("memory:")),
+        !plan_only
+            .events
+            .iter()
+            .any(|e| matches!(e, ObsEvent::GrantChange { .. })),
         "PlanOnly must not re-allocate: {:?}",
         plan_only.events
     );
@@ -551,7 +573,7 @@ fn modes_are_cleanly_separated() {
     let mem_only = run(&engine, &q, ReoptMode::MemoryOnly, engine.default_env()).unwrap();
     assert_eq!(mem_only.plan_switches, 0);
     assert!(
-        !mem_only.events.iter().any(|e| e.contains("ACCEPT")),
+        !mem_only.events.iter().any(is_accept),
         "MemoryOnly must not switch: {:?}",
         mem_only.events
     );
@@ -615,7 +637,7 @@ fn stats_feedback_heals_stale_catalog() {
         stats.rows,
         2000,
         "exact observed cardinality written back; events:\n{}",
-        out.events.join("\n")
+        events_text(&out)
     );
     // Observed columns carry fresh bounds (the stale max was 199).
     if let Some(k) = stats.columns.get("k") {
@@ -662,7 +684,7 @@ fn outcome_report_is_complete() {
     assert!(report.contains("-- controller events --"));
     // Every event line appears, numbered.
     for e in &full.events {
-        assert!(report.contains(e.as_str()), "missing event {e:?}");
+        assert!(report.contains(&e.to_string()), "missing event {e:?}");
     }
     assert!(report.contains("-- final plan"));
     assert!(report.contains("HashJoin"), "{report}");
@@ -757,7 +779,9 @@ fn transient_fault_recovers_via_segment_retry() {
     assert_eq!(inj.fired().transient, 1, "fault must fire exactly once");
     assert_eq!(row_fingerprints(&out.rows), row_fingerprints(&oracle));
     assert!(
-        out.events.iter().any(|e| e.contains("segment retry")),
+        out.events
+            .iter()
+            .any(|e| matches!(e, ObsEvent::SegmentRetry { .. })),
         "retry must be logged: {:?}",
         out.events
     );

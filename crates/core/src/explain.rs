@@ -28,7 +28,7 @@ pub fn explain_plan(plan: &PhysPlan) -> String {
 
 /// Render a finished query for `EXPLAIN ANALYZE`: headline counters,
 /// the final plan with per-operator estimated vs actual rows, and the
-/// controller's decision log.
+/// query's decision events.
 pub fn explain_analyze(outcome: &QueryOutcome) -> String {
     let mut out = String::new();
     let _ = writeln!(

@@ -10,9 +10,10 @@
 //! Events serialize to a flat, hand-rolled JSON object (the build has
 //! no serde); [`ObsEvent::write_json_fields`] appends the event's
 //! `"event":"<kind>"` discriminator and payload fields to an envelope
-//! the sink owns (sequence number, job id, label).
+//! the sink owns (sequence number, job id, label). The `Display`
+//! rendering is the one-line human form a query report lists.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// How a segment attempt ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,9 +92,12 @@ pub enum ObsEvent {
         estimated_rows: f64,
         /// Inaccuracy factor `max(obs/est, est/obs)` (≥ 1; 1 = exact).
         inaccuracy: f64,
-        /// True for a final checkpoint, false for a provisional
-        /// (mid-stream) report.
+        /// True when the collector saw its whole input; false for a
+        /// provisional report or a final one cut short by the consumer.
         complete: bool,
+        /// True for a provisional mid-stream report (the count is a
+        /// lower bound), false for the collector's one final report.
+        progress: bool,
     },
     /// The SCIA weighed re-planning at a collector checkpoint.
     Reopt {
@@ -101,10 +105,24 @@ pub enum ObsEvent {
         node: u64,
         verdict: ReoptVerdict,
         /// Estimated cost (ms) of the re-planned remainder, including
-        /// materialization of the cut subtree. 0 when not computed.
+        /// materialization of the cut subtree (`t_mat_ms`). Under
+        /// `Eq1Skip` it holds the estimated optimizer cost `T_opt`
+        /// instead; 0 under `BelowThreshold`, where nothing was planned.
         t_new_ms: f64,
-        /// Estimated cost (ms) of finishing the current plan.
+        /// Estimated cost (ms) of materializing the cut subtree; the
+        /// part of `t_new_ms` that is not the new plan. 0 unless the
+        /// verdict is `Accept` or `RejectCost`.
+        t_mat_ms: f64,
+        /// Estimated cost (ms) of finishing the current plan: the
+        /// re-priced current shape under `Accept`/`RejectCost`, the
+        /// improved remaining time otherwise.
         t_cur_ms: f64,
+        /// Remaining time of the current plan under the improved
+        /// (observed) estimates — Eq. 2's `T_cur,improved`.
+        t_cur_improved_ms: f64,
+        /// Remaining time of the current plan as the optimizer planned
+        /// it — Eq. 2's `T_cur,optimizer`.
+        t_cur_planned_ms: f64,
         /// Observed degradation factor of the running estimate.
         degradation: f64,
         /// Statistics divergence that triggered the consideration.
@@ -253,6 +271,9 @@ pub enum ObsEvent {
         estimated_rows: f64,
         /// The observed row count that replaced it.
         observed_rows: f64,
+        /// Base relation of a graph-level (pre-enumeration) override;
+        /// `None` for a sub-plan override during enumeration.
+        table: Option<String>,
     },
     /// The plan cache served a rebound template; enumeration skipped.
     PlanCacheHit {
@@ -262,6 +283,13 @@ pub enum ObsEvent {
     /// The plan cache had no usable template; full optimization ran
     /// and a fresh template was entered.
     PlanCacheMiss,
+    /// A freshly optimized plan was offered to the plan cache as its
+    /// family's template.
+    PlanCacheAdmit {
+        /// `None` when the template entered the cache; otherwise why it
+        /// was refused (the plan is not a pure function of base data).
+        refused: Option<String>,
+    },
     /// A cached plan went stale (dependency write or accumulated
     /// feedback) and was re-enumerated from scratch.
     PlanCacheStale {
@@ -327,6 +355,7 @@ impl ObsEvent {
             ObsEvent::FeedbackApplied { .. } => "feedback_applied",
             ObsEvent::PlanCacheHit { .. } => "plan_cache_hit",
             ObsEvent::PlanCacheMiss => "plan_cache_miss",
+            ObsEvent::PlanCacheAdmit { .. } => "plan_cache_admit",
             ObsEvent::PlanCacheStale { .. } => "plan_cache_reoptimized",
             ObsEvent::PlanCacheEvict { .. } => "plan_cache_evict",
             ObsEvent::HistogramRefresh { .. } => "histogram_refresh",
@@ -361,26 +390,32 @@ impl ObsEvent {
                 estimated_rows,
                 inaccuracy,
                 complete,
+                progress,
             } => {
                 let _ = write!(
                     out,
                     ",\"node\":{node},\"observed_rows\":{observed_rows},\
                      \"estimated_rows\":{estimated_rows},\"inaccuracy\":{inaccuracy},\
-                     \"complete\":{complete}"
+                     \"complete\":{complete},\"progress\":{progress}"
                 );
             }
             ObsEvent::Reopt {
                 node,
                 verdict,
                 t_new_ms,
+                t_mat_ms,
                 t_cur_ms,
+                t_cur_improved_ms,
+                t_cur_planned_ms,
                 degradation,
                 divergence,
             } => {
                 let _ = write!(
                     out,
                     ",\"node\":{node},\"verdict\":\"{}\",\"t_new_ms\":{t_new_ms},\
-                     \"t_cur_ms\":{t_cur_ms},\"degradation\":{degradation},\
+                     \"t_mat_ms\":{t_mat_ms},\"t_cur_ms\":{t_cur_ms},\
+                     \"t_cur_improved_ms\":{t_cur_improved_ms},\
+                     \"t_cur_planned_ms\":{t_cur_planned_ms},\"degradation\":{degradation},\
                      \"divergence\":{divergence}",
                     verdict.as_str()
                 );
@@ -552,17 +587,29 @@ impl ObsEvent {
                 fingerprint,
                 estimated_rows,
                 observed_rows,
+                table,
             } => {
                 let _ = write!(
                     out,
                     ",\"fingerprint\":\"{fingerprint:016x}\",\
                      \"estimated_rows\":{estimated_rows},\"observed_rows\":{observed_rows}"
                 );
+                if let Some(table) = table {
+                    out.push_str(",\"table\":");
+                    crate::json::write_json_string(out, table);
+                }
             }
             ObsEvent::PlanCacheHit { saved_work } => {
                 let _ = write!(out, ",\"saved_work\":{saved_work}");
             }
             ObsEvent::PlanCacheMiss => {}
+            ObsEvent::PlanCacheAdmit { refused } => {
+                let _ = write!(out, ",\"entered\":{}", refused.is_none());
+                if let Some(reason) = refused {
+                    out.push_str(",\"reason\":");
+                    crate::json::write_json_string(out, reason);
+                }
+            }
             ObsEvent::PlanCacheStale { reason } => {
                 let _ = write!(out, ",\"reason\":\"{reason}\"");
             }
@@ -609,6 +656,148 @@ impl ObsEvent {
     }
 }
 
+/// The one-line report form. Each kind a query report lists keeps a
+/// fixed prefix (`memory:`, `replan@op#N:`, `collector op#N:`,
+/// `progress op#N:`, `plancache:`, `cache:`, `feedback:`, `stats:`,
+/// `cleanup:`, `segment retry`) that scripts grep for; any other kind
+/// renders as its JSON fields.
+impl fmt::Display for ObsEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ObsEvent::GrantChange {
+                node,
+                old_bytes,
+                new_bytes,
+            } => write!(
+                f,
+                "memory: op#{node} grant {old_bytes} -> {new_bytes} bytes"
+            ),
+            ObsEvent::Collector {
+                node,
+                observed_rows: rows,
+                estimated_rows: est,
+                progress,
+                ..
+            } if *progress => write!(
+                f,
+                "progress op#{node}: ≥{rows} rows vs estimate {est:.0} — provisional re-allocation"
+            ),
+            ObsEvent::Collector {
+                node,
+                observed_rows: rows,
+                estimated_rows: est,
+                ..
+            } => write!(
+                f,
+                "collector op#{node}: observed {rows} rows (optimizer estimated {est:.0})"
+            ),
+            ObsEvent::Reopt {
+                node,
+                verdict,
+                t_new_ms,
+                t_mat_ms,
+                t_cur_ms,
+                t_cur_improved_ms,
+                t_cur_planned_ms,
+                degradation,
+                divergence,
+            } => {
+                write!(f, "replan@op#{node}: ")?;
+                let t_plan_ms = t_new_ms - t_mat_ms;
+                match verdict {
+                    ReoptVerdict::BelowThreshold => write!(
+                        f,
+                        "below θ2 (time degradation {degradation:.2}, \
+                         stat divergence {divergence:.2})"
+                    ),
+                    ReoptVerdict::Eq1Skip => write!(
+                        f,
+                        "skipped by Eq.1 (T_opt {t_new_ms:.1}ms vs remaining {t_cur_ms:.1}ms)"
+                    ),
+                    ReoptVerdict::Accept => write!(
+                        f,
+                        "ACCEPT (new {t_plan_ms:.1}ms + mat {t_mat_ms:.1}ms < continue \
+                         {t_cur_ms:.1}ms; trigger improved {t_cur_improved_ms:.1}ms vs \
+                         planned {t_cur_planned_ms:.1}ms)"
+                    ),
+                    ReoptVerdict::RejectCost => write!(
+                        f,
+                        "rejected (new {t_plan_ms:.1}ms + mat {t_mat_ms:.1}ms ≥ continue \
+                         {t_cur_ms:.1}ms)"
+                    ),
+                }
+            }
+            ObsEvent::SegmentRetry {
+                retry,
+                limit,
+                cause,
+            } => write!(
+                f,
+                "segment retry {retry}/{limit}: transient fault absorbed ({cause})"
+            ),
+            ObsEvent::Cleanup {
+                temp_tables,
+                temp_files,
+                failures,
+            } => write!(
+                f,
+                "cleanup: dropped {temp_tables} temp tables and {temp_files} temp files, \
+                 {failures} drops failed"
+            ),
+            ObsEvent::CacheHit {
+                fingerprint,
+                table,
+                rows,
+                saved_ms,
+                ..
+            } => write!(
+                f,
+                "cache: hit {table} ({rows} rows, ~{saved_ms:.1} ms saved, fp {fingerprint:016x})"
+            ),
+            ObsEvent::CacheMiss { probed } => {
+                write!(f, "cache: miss ({probed} sub-trees probed)")
+            }
+            ObsEvent::FeedbackApplied {
+                fingerprint: fp,
+                estimated_rows: est,
+                observed_rows: obs,
+                table,
+            } => match table {
+                Some(table) => write!(
+                    f,
+                    "feedback: planned {table} with observed {obs:.0} rows (est {est:.0}, fp {fp:016x})"
+                ),
+                None => write!(f, "feedback: est {est:.0} -> observed {obs:.0} rows (fp {fp:016x})"),
+            },
+            ObsEvent::PlanCacheHit { saved_work } => write!(
+                f,
+                "plancache: hit (skipped {saved_work} optimizer work units)"
+            ),
+            ObsEvent::PlanCacheMiss => f.write_str("plancache: miss"),
+            ObsEvent::PlanCacheAdmit { refused } => match refused {
+                None => f.write_str("plancache: template entered"),
+                Some(reason) => write!(f, "plancache: not entered ({reason})"),
+            },
+            ObsEvent::PlanCacheStale { reason } => {
+                write!(f, "plancache: stale ({reason}), re-enumerated")
+            }
+            ObsEvent::HistogramRefresh {
+                table,
+                column,
+                error_factor,
+            } => write!(
+                f,
+                "stats: refreshed histogram {table}.{column} (error factor {error_factor:.1})"
+            ),
+            _ => {
+                let mut out = String::new();
+                self.write_json_fields(&mut out);
+                f.write_str(&out)
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -621,13 +810,15 @@ mod tests {
             estimated_rows: 100.0,
             inaccuracy: 12.0,
             complete: true,
+            progress: false,
         };
         let mut out = String::new();
         ev.write_json_fields(&mut out);
         assert_eq!(
             out,
             "\"event\":\"collector\",\"node\":4,\"observed_rows\":1200,\
-             \"estimated_rows\":100,\"inaccuracy\":12,\"complete\":true"
+             \"estimated_rows\":100,\"inaccuracy\":12,\"complete\":true,\
+             \"progress\":false"
         );
     }
 
@@ -653,6 +844,68 @@ mod tests {
         ev.write_json_fields(&mut out);
         assert!(out.starts_with("\"event\":\"crash_injected\",\"query_id\":7"));
         assert!(out.contains("\"cause\":\"kill at boundary #2\""));
+    }
+
+    #[test]
+    fn report_lines_keep_their_prefixes() {
+        let reopt = |verdict| ObsEvent::Reopt {
+            node: 3,
+            verdict,
+            t_new_ms: 120.0,
+            t_mat_ms: 20.0,
+            t_cur_ms: 400.0,
+            t_cur_improved_ms: 410.0,
+            t_cur_planned_ms: 90.0,
+            degradation: 3.5,
+            divergence: 7.25,
+        };
+        let collector = |progress| ObsEvent::Collector {
+            node: 4,
+            observed_rows: 2048,
+            estimated_rows: 100.4,
+            inaccuracy: 20.4,
+            complete: false,
+            progress,
+        };
+        let feedback = |table: Option<&str>| ObsEvent::FeedbackApplied {
+            fingerprint: 0xab,
+            estimated_rows: 10.0,
+            observed_rows: 500.0,
+            table: table.map(str::to_string),
+        };
+        let lines: Vec<String> = [
+            reopt(ReoptVerdict::Accept),
+            reopt(ReoptVerdict::RejectCost),
+            reopt(ReoptVerdict::BelowThreshold),
+            collector(true),
+            collector(false),
+            feedback(Some("orders")),
+            feedback(None),
+            ObsEvent::PlanCacheAdmit { refused: None },
+            ObsEvent::PlanCacheAdmit {
+                refused: Some("t has no data version".into()),
+            },
+            ObsEvent::LeaseDeny { site: "grow" },
+        ]
+        .iter()
+        .map(ToString::to_string)
+        .collect();
+        assert_eq!(
+            lines,
+            [
+                "replan@op#3: ACCEPT (new 100.0ms + mat 20.0ms < continue 400.0ms; \
+                 trigger improved 410.0ms vs planned 90.0ms)",
+                "replan@op#3: rejected (new 100.0ms + mat 20.0ms ≥ continue 400.0ms)",
+                "replan@op#3: below θ2 (time degradation 3.50, stat divergence 7.25)",
+                "progress op#4: ≥2048 rows vs estimate 100 — provisional re-allocation",
+                "collector op#4: observed 2048 rows (optimizer estimated 100)",
+                "feedback: planned orders with observed 500 rows (est 10, fp 00000000000000ab)",
+                "feedback: est 10 -> observed 500 rows (fp 00000000000000ab)",
+                "plancache: template entered",
+                "plancache: not entered (t has no data version)",
+                "\"event\":\"lease_deny\",\"site\":\"grow\"",
+            ]
+        );
     }
 
     #[test]

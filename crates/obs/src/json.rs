@@ -1,6 +1,6 @@
 //! Minimal JSON helpers: string escaping for the emit path and a tiny
-//! field extractor for consumers of the JSONL trace (bench figures,
-//! tests). The build has no serde; the trace format is flat objects
+//! field extractor for consumers of the JSONL trace (tests, trace
+//! tooling). The build has no serde; the trace format is flat objects
 //! with string/number/bool values, which is all these helpers handle.
 
 use std::fmt::Write as _;

@@ -11,8 +11,8 @@
 //! * a **metrics registry** ([`MetricsRegistry`]) with a deterministic
 //!   snapshot, stable/volatile metric classes and Prometheus-text
 //!   exposition;
-//! * the JSON helpers trace consumers (bench figures, tests, EXPLAIN
-//!   ANALYZE tooling) parse the JSONL trace with.
+//! * the JSON helpers trace consumers (tests, trace tooling) parse the
+//!   JSONL trace with.
 //!
 //! # Scoping
 //!
@@ -347,6 +347,7 @@ pub fn fold_event(m: &MetricsRegistry, ev: &ObsEvent) {
         ObsEvent::PlanCacheMiss => {
             m.inc("midq_plancache_misses_total", &[], Stable, 1);
         }
+        ObsEvent::PlanCacheAdmit { .. } => {}
         ObsEvent::PlanCacheStale { reason } => {
             m.inc(
                 "midq_plancache_reopts_total",
@@ -436,12 +437,16 @@ mod tests {
             estimated_rows: 50.0,
             inaccuracy: 10.0,
             complete: true,
+            progress: false,
         });
         emit(|| ObsEvent::Reopt {
             node: 3,
             verdict: ReoptVerdict::Accept,
             t_new_ms: 10.0,
+            t_mat_ms: 2.0,
             t_cur_ms: 30.0,
+            t_cur_improved_ms: 30.0,
+            t_cur_planned_ms: 10.0,
             degradation: 3.0,
             divergence: 9.0,
         });

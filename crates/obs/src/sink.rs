@@ -219,6 +219,7 @@ mod tests {
                 estimated_rows: 100.0,
                 inaccuracy: 12.0,
                 complete: true,
+                progress: false,
             },
         );
         let lines = sink.lines();

@@ -1,7 +1,7 @@
 //! Per-job and per-workload results.
 
 use mq_common::Result;
-use mq_obs::MetricsSnapshot;
+use mq_obs::{MetricsSnapshot, ObsEvent};
 use mq_reopt::QueryOutcome;
 
 /// The result of one workload query.
@@ -54,87 +54,74 @@ impl JobResult {
         }
     }
 
-    /// Segments re-run after a transient fault — from the metrics
-    /// snapshot when one was collected, else from the outcome.
+    /// Segments re-run after a transient fault.
     pub fn segment_retries(&self) -> u64 {
-        if self.metrics.is_empty() {
-            self.outcome
-                .as_ref()
-                .map(|o| u64::from(o.segment_retries))
-                .unwrap_or(0)
-        } else {
-            self.metrics.counter("midq_segment_retries_total")
-        }
+        self.tally(&["midq_segment_retries_total"], |e| {
+            matches!(e, ObsEvent::SegmentRetry { .. }).into()
+        })
     }
 
-    /// Re-optimization decisions the controller weighed (all verdicts)
-    /// — from the metrics snapshot when one was collected, else the
-    /// accepted switches from the outcome.
+    /// Re-optimization decisions the controller weighed (all verdicts).
     pub fn reopt_decisions(&self) -> u64 {
-        if self.metrics.is_empty() {
-            self.outcome
-                .as_ref()
-                .map(|o| u64::from(o.plan_switches))
-                .unwrap_or(0)
-        } else {
-            self.metrics.counter("midq_reopt_decisions_total")
-        }
+        self.tally(&["midq_reopt_decisions_total"], |e| {
+            matches!(e, ObsEvent::Reopt { .. }).into()
+        })
     }
 
     /// Cross-query cache hits this job benefited from (sub-trees
-    /// replaced by `CachedScan`s) — from the metrics snapshot when one
-    /// was collected, else from the controller event log.
+    /// replaced by `CachedScan`s).
     pub fn cache_hits(&self) -> u64 {
-        if self.metrics.is_empty() {
-            self.count_events("cache: hit")
-        } else {
-            self.metrics.counter("midq_cache_hits_total")
-        }
+        self.tally(&["midq_cache_hits_total"], |e| {
+            matches!(e, ObsEvent::CacheHit { .. }).into()
+        })
     }
 
     /// Cache probes of this job that found no usable entry.
     pub fn cache_misses(&self) -> u64 {
-        if self.metrics.is_empty() {
-            self.count_events("cache: miss")
-        } else {
-            self.metrics.counter("midq_cache_misses_total")
-        }
+        self.tally(&["midq_cache_misses_total"], |e| {
+            matches!(e, ObsEvent::CacheMiss { .. }).into()
+        })
     }
 
     /// Bytes of intermediate results this job read from the cache
-    /// instead of recomputing (0 without a metrics snapshot — the
-    /// event log does not carry byte counts).
+    /// instead of recomputing.
     pub fn cache_bytes_saved(&self) -> u64 {
-        self.metrics.counter("midq_cache_bytes_saved_total")
+        self.tally(&["midq_cache_bytes_saved_total"], |e| match e {
+            ObsEvent::CacheHit { saved_bytes, .. } => *saved_bytes,
+            _ => 0,
+        })
     }
 
     /// Plan-cache hits: runs of this job served by a rebound plan
-    /// template (join enumeration skipped) — from the metrics snapshot
-    /// when one was collected, else from the controller event log.
+    /// template (join enumeration skipped).
     pub fn plan_cache_hits(&self) -> u64 {
-        if self.metrics.is_empty() {
-            self.count_events("plancache: hit")
-        } else {
-            self.metrics.counter("midq_plancache_hits_total")
-        }
+        self.tally(&["midq_plancache_hits_total"], |e| {
+            matches!(e, ObsEvent::PlanCacheHit { .. }).into()
+        })
     }
 
     /// Plan-cache probes that fell through to full optimization
     /// (misses plus stale re-optimizations).
     pub fn plan_cache_misses(&self) -> u64 {
-        if self.metrics.is_empty() {
-            self.count_events("plancache: miss") + self.count_events("plancache: stale")
-        } else {
-            self.metrics.counter("midq_plancache_misses_total")
-                + self.metrics.counter("midq_plancache_reopts_total")
-        }
+        self.tally(
+            &["midq_plancache_misses_total", "midq_plancache_reopts_total"],
+            |e| matches!(e, ObsEvent::PlanCacheMiss | ObsEvent::PlanCacheStale { .. }).into(),
+        )
     }
 
-    fn count_events(&self, prefix: &str) -> u64 {
-        self.outcome
-            .as_ref()
-            .map(|o| o.events.iter().filter(|e| e.starts_with(prefix)).count() as u64)
-            .unwrap_or(0)
+    /// The sum of `counters` from the metrics snapshot when one was
+    /// collected, else `f` summed over the outcome's events (0 for a
+    /// failed query). Both count the same events: every counter here
+    /// is folded from exactly the events `f` matches.
+    fn tally(&self, counters: &[&str], f: impl Fn(&ObsEvent) -> u64) -> u64 {
+        if self.metrics.is_empty() {
+            self.outcome
+                .as_ref()
+                .map(|o| o.events.iter().map(f).sum())
+                .unwrap_or(0)
+        } else {
+            counters.iter().map(|c| self.metrics.counter(c)).sum()
+        }
     }
 }
 

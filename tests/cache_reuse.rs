@@ -3,9 +3,10 @@
 //! cold cache and warm cache agree row-for-row, serially and on a
 //! 4-worker concurrent runtime — and writes invalidate what they must.
 
-use midq::common::EngineConfig;
+use midq::common::{EngineConfig, FaultInjector, FaultProfile};
+use midq::obs::{MetricsRegistry, Obs};
 use midq::tpcd::{queries, TpcdConfig};
-use midq::{Database, QueryOutcome, ReoptMode, Workload, WorkloadQuery};
+use midq::{Database, JobResult, QueryOutcome, ReoptMode, Workload, WorkloadQuery};
 
 /// The four families the cache experiment tracks: a single-table
 /// aggregate (never promotes, always probes), and three multi-join
@@ -247,4 +248,77 @@ fn inserts_invalidate_only_dependent_families() {
     );
     let audit = db.engine().audit();
     assert!(audit.is_clean(), "{audit}");
+}
+
+/// Every `JobResult` accessor means the same thing with and without a
+/// metrics snapshot: the snapshot folds exactly the events the outcome
+/// carries. Two identically loaded databases run one seeded workload
+/// in which every job completes, one observed by a metrics-only `Obs`
+/// and one bare.
+#[test]
+fn job_accessors_agree_with_and_without_metrics() {
+    let load = || {
+        let mut db = load_db(true);
+        let mut cfg = db.engine().config().clone();
+        cfg.plan_cache_enabled = true;
+        db.engine_mut().and_then(|e| e.set_config(cfg)).unwrap();
+        db
+    };
+    let sql = "SELECT o_orderstatus, count(*) AS n FROM orders, lineitem \
+               WHERE o_orderkey = l_orderkey AND l_quantity < 25 \
+               GROUP BY o_orderstatus ORDER BY o_orderstatus";
+    // Transient faults only, no more than the segment-retry limit.
+    let profile = FaultProfile {
+        max_faults: 2,
+        transient_percent: 100,
+        cancel_percent: 0,
+        ..FaultProfile::default()
+    };
+    let make = |obs: Option<Obs>| {
+        let mut w = Workload::new(1);
+        // Each family twice: the repeat hits the caches the first run
+        // filled.
+        for pass in 0..2 {
+            for (name, q) in families() {
+                w = w.query(WorkloadQuery::plan(name, q).with_mode(ReoptMode::PlanOnly));
+            }
+            w = w.query(WorkloadQuery::sql(format!("sql{pass}"), sql));
+        }
+        for (i, q) in w.queries.iter_mut().enumerate() {
+            q.fault = Some(FaultInjector::from_seed(0x5EED + i as u64, &profile));
+        }
+        w.obs = obs;
+        w
+    };
+    let bare = load().run_concurrent(&make(None));
+    let observed = load().run_concurrent(&make(Some(
+        Obs::none().with_metrics(MetricsRegistry::new()),
+    )));
+
+    let accessors = |r: &JobResult| {
+        [
+            r.segment_retries(),
+            r.reopt_decisions(),
+            r.cache_hits(),
+            r.cache_misses(),
+            r.cache_bytes_saved(),
+            r.plan_cache_hits(),
+            r.plan_cache_misses(),
+        ]
+    };
+    for (b, o) in bare.results.iter().zip(&observed.results) {
+        assert!(b.is_ok() && o.is_ok(), "{}: {}", b.label, bare.summary());
+        assert!(b.metrics.is_empty() && !o.metrics.is_empty());
+        assert_eq!(accessors(b), accessors(o), "{}", b.label);
+    }
+    // The workload exercises what the accessors count beyond the
+    // outcome's own counters: verdicts other than accepted switches,
+    // bytes read from the cache, plan-cache hits and segment retries.
+    let any = |f: fn(&JobResult) -> bool| observed.results.iter().any(f);
+    assert!(any(
+        |r| r.reopt_decisions() > u64::from(r.outcome.as_ref().unwrap().plan_switches)
+    ));
+    assert!(any(|r| r.cache_bytes_saved() > 0));
+    assert!(any(|r| r.plan_cache_hits() > 0));
+    assert!(any(|r| r.segment_retries() > 0));
 }

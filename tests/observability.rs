@@ -5,8 +5,8 @@
 //!   by exactly one accepted re-optimization event.
 //! * Stable metrics snapshots are byte-identical across worker counts
 //!   for chaos-style seeded workloads.
-//! * A disabled sink adds zero simulated cost (well under the 2%
-//!   budget in DESIGN.md).
+//! * A disabled sink adds zero simulated cost (the 2% budget in
+//!   DESIGN.md, met exactly).
 //! * EXPLAIN ANALYZE renders per-operator est vs actual rows with
 //!   collector markers.
 
@@ -196,7 +196,8 @@ fn disabled_sink_adds_no_simulated_cost() {
     // Two identically loaded databases; one run observed (ring sink +
     // metrics), one bare. Observability never charges the simulated
     // clock, so the acceptance bound (< 2% simulated-cost overhead)
-    // holds exactly.
+    // holds exactly: the costs are equal. The bare run still fills the
+    // outcome's always-on event buffer, which must charge nothing.
     let observed_db = skewed_db();
     let bare_db = skewed_db();
     let obs = Obs::none()
@@ -216,12 +217,9 @@ fn disabled_sink_adds_no_simulated_cost() {
         .run()
         .unwrap();
 
-    assert!(
-        (observed.time_ms - bare.time_ms).abs() <= bare.time_ms * 0.02,
-        "observed {:.3}ms vs bare {:.3}ms exceeds the 2% budget",
-        observed.time_ms,
-        bare.time_ms
-    );
+    assert!(!bare.events.is_empty(), "the bare run recorded no events");
+    assert_eq!(observed.cost, bare.cost);
+    assert_eq!(observed.time_ms, bare.time_ms);
 }
 
 #[test]

@@ -6,6 +6,7 @@
 //! adaptive histogram refresh.
 
 use midq::common::{EngineConfig, Row, Value};
+use midq::obs::ObsEvent;
 use midq::tpcd::TpcdConfig;
 use midq::{Database, QueryOutcome, ReoptMode, Workload, WorkloadQuery};
 
@@ -47,6 +48,10 @@ fn sorted_rows(outcome: &QueryOutcome) -> Vec<String> {
         .collect();
     rows.sort();
     rows
+}
+
+fn is_plancache_hit(e: &ObsEvent) -> bool {
+    matches!(e, ObsEvent::PlanCacheHit { .. })
 }
 
 /// One TPC-D join family parameterized by its two literals.
@@ -174,7 +179,7 @@ fn rebound_literals_match_cache_off_oracle() {
                 "variant {i}: warm run paid join enumeration"
             );
             assert!(
-                ours.events.iter().any(|e| e.starts_with("plancache: hit")),
+                ours.events.iter().any(is_plancache_hit),
                 "variant {i}: no hit event: {:?}",
                 ours.events
             );
@@ -259,7 +264,7 @@ fn insert_triggers_exactly_one_stale_reenumeration() {
         .mode(ReoptMode::Off)
         .run()
         .unwrap();
-    assert!(warm.events.iter().any(|e| e.starts_with("plancache: hit")));
+    assert!(warm.events.iter().any(is_plancache_hit));
 
     // Append one synthesized lineitem row on both databases: the
     // table's data version moves, so the next probe must fall through
@@ -288,7 +293,7 @@ fn insert_triggers_exactly_one_stale_reenumeration() {
         stale
             .events
             .iter()
-            .any(|e| e.starts_with("plancache: stale (write)")),
+            .any(|e| matches!(e, ObsEvent::PlanCacheStale { reason: "write" })),
         "write did not force a re-enumeration: {:?}",
         stale.events
     );
@@ -313,10 +318,7 @@ fn insert_triggers_exactly_one_stale_reenumeration() {
         .run()
         .unwrap();
     assert!(
-        rewarm
-            .events
-            .iter()
-            .any(|e| e.starts_with("plancache: hit")),
+        rewarm.events.iter().any(is_plancache_hit),
         "family did not re-warm: {:?}",
         rewarm.events
     );
@@ -374,7 +376,10 @@ fn adaptive_histogram_refresh_fires_once_and_heals_estimates() {
     let refreshes = |out: &QueryOutcome| {
         out.events
             .iter()
-            .filter(|e| e.starts_with("stats: refreshed histogram sk.v"))
+            .filter(|e| {
+                matches!(e, ObsEvent::HistogramRefresh { table, column, .. }
+                    if table == "sk" && column == "v")
+            })
             .count()
     };
     let mut total = 0usize;
