@@ -1,10 +1,11 @@
 //! Operator- and substrate-level microbenchmarks.
 //!
 //! The `figures` benches track end-to-end query behaviour; these track
-//! the building blocks — B+-tree operations, hash join build/probe,
-//! external sort, histogram construction (including the O(D²B)
-//! V-optimal dynamic program), and expression evaluation — so a
-//! regression can be localized before it shows up as a smeared Fig. 10.
+//! the building blocks — B+-tree operations, heap scans with and
+//! without a filter, hash join build/probe, external sort, histogram
+//! construction (including the O(D²B) V-optimal dynamic program), and
+//! expression evaluation — so a regression can be localized before it
+//! shows up as a smeared Fig. 10.
 //!
 //! ```text
 //! cargo bench -p mq-bench --bench micro
@@ -13,8 +14,13 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use midq::common::{DataType, DetRng, EngineConfig, Row, SimClock, Value};
-use midq::expr::{and, cmp, col, lit, CmpOp};
+use midq::common::value::{civil_to_days, date};
+use midq::common::{DataType, DetRng, EngineConfig, Field, Row, Schema, SimClock, Value};
+use midq::exec::context::ExecContext;
+use midq::exec::scan::SeqScanExec;
+use midq::exec::Operator;
+use midq::expr::{and, between, cmp, col, lit, CmpOp};
+use midq::plan::{NodeId, ScanSpec};
 use midq::stats::{Histogram, HistogramKind, Reservoir};
 use midq::storage::Storage;
 use midq::{Database, ReoptMode};
@@ -61,6 +67,89 @@ fn mq_common_rid(i: u64) -> midq::common::Rid {
         page: midq::common::PageId(i / 64),
         slot: (i % 64) as u16,
     }
+}
+
+/// A 20k-row heap shaped like TPC-D `lineitem` (12 columns, two short
+/// strings), scanned by `SeqScanExec` with no filter and with Q6's
+/// ~2%-selective filter.
+fn bench_seq_scan(c: &mut Criterion) {
+    const ROWS: i64 = 20_000;
+    let cfg = EngineConfig::default();
+    let clock = SimClock::new();
+    let st = Storage::new(&cfg, clock.clone());
+    let file = st.create_file();
+    let mut rng = DetRng::new(13);
+    let day0 = civil_to_days(1992, 1, 1);
+    for i in 0..ROWS {
+        let ship = day0 + rng.gen_range(7 * 365) as i64;
+        let row = Row::new(vec![
+            Value::Int(i / 4),
+            Value::Int(rng.gen_range(2_000) as i64),
+            Value::Int(rng.gen_range(100) as i64),
+            Value::Int(1 + rng.gen_range(50) as i64),
+            Value::Float(rng.gen_range(100_000) as f64 / 10.0),
+            Value::Float(rng.gen_range(11) as f64 / 100.0),
+            Value::Float(rng.gen_range(9) as f64 / 100.0),
+            Value::str(["A", "N", "R"][rng.gen_range(3) as usize]),
+            Value::str(["F", "O"][rng.gen_range(2) as usize]),
+            Value::Date(ship),
+            Value::Date(ship + 30),
+            Value::Date(ship + rng.gen_range(30) as i64),
+        ]);
+        st.append_row(file, &row).unwrap();
+    }
+    let column = |name: &str, ty| Field::qualified("lineitem", name, ty);
+    let schema = Schema::new(vec![
+        column("l_orderkey", DataType::Int),
+        column("l_partkey", DataType::Int),
+        column("l_suppkey", DataType::Int),
+        column("l_quantity", DataType::Int),
+        column("l_extendedprice", DataType::Float),
+        column("l_discount", DataType::Float),
+        column("l_tax", DataType::Float),
+        column("l_returnflag", DataType::Str),
+        column("l_linestatus", DataType::Str),
+        column("l_shipdate", DataType::Date),
+        column("l_commitdate", DataType::Date),
+        column("l_receiptdate", DataType::Date),
+    ])
+    .unwrap();
+    let q6 = and(vec![
+        cmp(CmpOp::Ge, col("l_shipdate"), lit(date(1994, 1, 1))),
+        cmp(CmpOp::Lt, col("l_shipdate"), lit(date(1995, 1, 1))),
+        between(col("l_discount"), 0.05, 0.07),
+        cmp(CmpOp::Lt, col("l_quantity"), lit(24i64)),
+    ])
+    .bind(&schema)
+    .unwrap();
+    let spec = ScanSpec {
+        table: "lineitem".into(),
+        file,
+        pages: st.file_pages(file).unwrap() as u64,
+        rows: ROWS as u64,
+    };
+    let ctx = ExecContext::new(st, clock, cfg);
+    let scan = |filter: Option<&midq::expr::Expr>| {
+        let mut op = SeqScanExec::new(NodeId(0), spec.clone(), filter.cloned());
+        op.open(&ctx).unwrap();
+        let mut n = 0usize;
+        while let Some(row) = op.next(&ctx).unwrap() {
+            n += black_box(row).len();
+        }
+        op.close(&ctx).unwrap();
+        n
+    };
+    let kept = scan(Some(&q6)) / 12;
+    assert!(
+        (100..800).contains(&kept),
+        "Q6 filter should keep ~2% of {ROWS} rows, kept {kept}"
+    );
+
+    let mut group = c.benchmark_group("seq_scan");
+    group.sample_size(20);
+    group.bench_function("unfiltered_20k", |b| b.iter(|| black_box(scan(None))));
+    group.bench_function("q6_filter_20k", |b| b.iter(|| black_box(scan(Some(&q6)))));
+    group.finish();
 }
 
 fn join_db(rows: i64) -> (Database, midq::LogicalPlan) {
@@ -223,6 +312,7 @@ fn bench_expr_eval(c: &mut Criterion) {
 criterion_group!(
     micro,
     bench_btree,
+    bench_seq_scan,
     bench_hash_join,
     bench_sort,
     bench_histograms,

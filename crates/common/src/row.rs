@@ -2,8 +2,8 @@
 
 use std::fmt;
 
-use crate::error::Result;
-use crate::value::Value;
+use crate::error::{MqError, Result};
+use crate::value::{RawValue, Value};
 
 /// A tuple of values. Operators pass rows by value; string payloads are
 /// `Arc`-shared so cloning is cheap.
@@ -100,20 +100,62 @@ impl Row {
 
     /// Decode a row from `buf`, returning it and the bytes consumed.
     pub fn decode(buf: &[u8]) -> Result<(Row, usize)> {
-        use crate::error::MqError;
-        let n = buf
-            .get(..2)
-            .map(|b| u16::from_le_bytes(b.try_into().unwrap()) as usize)
-            .ok_or_else(|| MqError::Storage("truncated row header".into()))?;
+        let n = arity(buf)?;
         let mut values = Vec::with_capacity(n);
-        let mut off = 2;
-        for _ in 0..n {
-            let (v, used) = Value::decode(&buf[off..])?;
-            values.push(v);
-            off += used;
-        }
-        Ok((Row { values }, off))
+        let used = walk(buf, n, |_, raw| values.push(raw.into_value()))?;
+        Ok((Row { values }, used))
     }
+
+    /// Check an encoded row without building it, returning the bytes it
+    /// occupies. Fails exactly when [`Row::decode`] fails, with the same
+    /// error, and allocates nothing.
+    pub fn validate(buf: &[u8]) -> Result<usize> {
+        walk(buf, arity(buf)?, |_, _| {})
+    }
+
+    /// Decode only the columns `i` with `wanted[i]` set (a column past
+    /// the end of `wanted` is not wanted) into `scratch`, returning the
+    /// bytes consumed. Every other column is checked as [`Row::decode`]
+    /// would check it but not built; its slot in `scratch` holds
+    /// `Null`. `scratch` ends up with exactly the record's arity, so an
+    /// out-of-range column access on it fails as it would on the fully
+    /// decoded row. Reusing one `scratch` across records reuses its
+    /// allocation. On error `scratch` holds a partial row.
+    pub fn decode_cols(buf: &[u8], wanted: &[bool], scratch: &mut Row) -> Result<usize> {
+        let n = arity(buf)?;
+        let values = &mut scratch.values;
+        values.clear();
+        values.reserve(n);
+        walk(buf, n, |i, raw| {
+            values.push(if wanted.get(i).copied().unwrap_or(false) {
+                raw.into_value()
+            } else {
+                Value::Null
+            })
+        })
+    }
+}
+
+/// The column count from a row encoding's header.
+fn arity(buf: &[u8]) -> Result<usize> {
+    buf.get(..2)
+        .map(|b| u16::from_le_bytes([b[0], b[1]]) as usize)
+        .ok_or_else(|| MqError::Storage("truncated row header".into()))
+}
+
+/// The one walker behind [`Row::decode`], [`Row::validate`] and
+/// [`Row::decode_cols`]: reads and checks the `n` values after the
+/// header in turn, handing each to `column`. Returns the bytes
+/// consumed.
+#[inline]
+fn walk<'a>(buf: &'a [u8], n: usize, mut column: impl FnMut(usize, RawValue<'a>)) -> Result<usize> {
+    let mut off = 2;
+    for i in 0..n {
+        let (raw, used) = RawValue::read(&buf[off..])?;
+        column(i, raw);
+        off += used;
+    }
+    Ok(off)
 }
 
 impl From<Vec<Value>> for Row {

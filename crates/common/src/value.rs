@@ -220,38 +220,74 @@ impl Value {
 
     /// Decode one value from `buf`, returning it and the bytes consumed.
     pub fn decode(buf: &[u8]) -> Result<(Value, usize)> {
+        let (raw, used) = RawValue::read(buf)?;
+        Ok((raw.into_value(), used))
+    }
+
+    /// Step over one encoded value without building it, returning the
+    /// bytes it occupies. Applies exactly the checks of
+    /// [`Value::decode`] (tag, bounds, UTF-8) and fails exactly when
+    /// it does, but allocates nothing.
+    pub fn skip(buf: &[u8]) -> Result<usize> {
+        RawValue::read(buf).map(|(_, used)| used)
+    }
+}
+
+/// One checked value read in place: strings borrow the encoding.
+/// [`Value::decode`], [`Value::skip`] and the row decoders all walk the
+/// encoding through [`RawValue::read`], so they accept and reject the
+/// same bytes with the same errors.
+pub(crate) enum RawValue<'a> {
+    Null,
+    Bool(bool),
+    Int(i64),
+    Float(f64),
+    Date(i64),
+    Str(&'a str),
+}
+
+impl<'a> RawValue<'a> {
+    /// Read and check one value, returning it and the bytes consumed.
+    #[inline(always)]
+    pub(crate) fn read(buf: &'a [u8]) -> Result<(RawValue<'a>, usize)> {
         let tag = *buf
             .first()
             .ok_or_else(|| MqError::Storage("empty value encoding".into()))?;
-        let need = |n: usize| -> Result<&[u8]> {
+        let need = |n: usize| -> Result<&'a [u8]> {
             buf.get(1..1 + n)
                 .ok_or_else(|| MqError::Storage("truncated value encoding".into()))
         };
+        let word = |b: &[u8]| -> [u8; 8] { b.try_into().expect("need(8) yields 8 bytes") };
         match tag {
-            0 => Ok((Value::Null, 1)),
-            1 => Ok((Value::Bool(need(1)?[0] != 0), 2)),
-            2 => Ok((
-                Value::Int(i64::from_le_bytes(need(8)?.try_into().unwrap())),
-                9,
-            )),
-            3 => Ok((
-                Value::Float(f64::from_le_bytes(need(8)?.try_into().unwrap())),
-                9,
-            )),
-            4 => Ok((
-                Value::Date(i64::from_le_bytes(need(8)?.try_into().unwrap())),
-                9,
-            )),
+            0 => Ok((RawValue::Null, 1)),
+            1 => Ok((RawValue::Bool(need(1)?[0] != 0), 2)),
+            2 => Ok((RawValue::Int(i64::from_le_bytes(word(need(8)?))), 9)),
+            3 => Ok((RawValue::Float(f64::from_le_bytes(word(need(8)?))), 9)),
+            4 => Ok((RawValue::Date(i64::from_le_bytes(word(need(8)?))), 9)),
             5 => {
-                let len = u32::from_le_bytes(need(4)?.try_into().unwrap()) as usize;
+                let len_bytes: [u8; 4] = need(4)?.try_into().expect("need(4) yields 4 bytes");
+                let len = u32::from_le_bytes(len_bytes) as usize;
                 let bytes = buf
                     .get(5..5 + len)
                     .ok_or_else(|| MqError::Storage("truncated string encoding".into()))?;
                 let s = std::str::from_utf8(bytes)
                     .map_err(|_| MqError::Storage("invalid utf-8 in string value".into()))?;
-                Ok((Value::str(s), 5 + len))
+                Ok((RawValue::Str(s), 5 + len))
             }
             t => Err(MqError::Storage(format!("unknown value tag {t}"))),
+        }
+    }
+
+    /// Build the owned value (allocates only for strings).
+    #[inline(always)]
+    pub(crate) fn into_value(self) -> Value {
+        match self {
+            RawValue::Null => Value::Null,
+            RawValue::Bool(b) => Value::Bool(b),
+            RawValue::Int(i) => Value::Int(i),
+            RawValue::Float(f) => Value::Float(f),
+            RawValue::Date(d) => Value::Date(d),
+            RawValue::Str(s) => Value::str(s),
         }
     }
 }

@@ -20,6 +20,40 @@ fn arb_row() -> impl Strategy<Value = Row> {
     prop::collection::vec(arb_value(), 0..12).prop_map(Row::new)
 }
 
+/// Rows whose strings mix 1- to 4-byte UTF-8 sequences, so byte flips
+/// and truncations land inside multi-byte characters too.
+fn arb_wide_row() -> impl Strategy<Value = Row> {
+    let value = prop_oneof![
+        arb_value(),
+        "[a-zé-ÿα-ω€-₿😀-😊]{0,12}".prop_map(Value::str),
+    ];
+    prop::collection::vec(value, 0..8).prop_map(Row::new)
+}
+
+/// The three row decoders must agree on `bytes`: `validate` and
+/// `decode_cols` succeed with `decode`'s length or fail with its exact
+/// error, and `decode_cols` yields `decode`'s value in every wanted
+/// column.
+fn decoders_agree(bytes: &[u8], wanted: &[bool]) -> Result<(), TestCaseError> {
+    let full = Row::decode(bytes);
+    let mut scratch = Row::default();
+    let partial = Row::decode_cols(bytes, wanted, &mut scratch);
+    let used = full.as_ref().map(|(_, n)| *n).map_err(Clone::clone);
+    prop_assert_eq!(&Row::validate(bytes), &used);
+    prop_assert_eq!(&partial, &used);
+    if let Ok((row, _)) = &full {
+        prop_assert_eq!(scratch.len(), row.len());
+        for (i, v) in row.values().iter().enumerate() {
+            if wanted.get(i).copied().unwrap_or(false) {
+                prop_assert_eq!(scratch.get(i), v);
+            } else {
+                prop_assert!(scratch.get(i).is_null());
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     /// Every value round-trips through the binary encoding.
     #[test]
@@ -42,11 +76,60 @@ proptest! {
         prop_assert_eq!(used, bytes.len());
     }
 
+    /// `Value::skip` steps over exactly what `Value::decode` reads, and
+    /// fails with its error on every truncation.
+    #[test]
+    fn value_skip_matches_decode(v in arb_value()) {
+        let mut buf = Vec::new();
+        v.encode(&mut buf);
+        for cut in 0..=buf.len() {
+            let b = &buf[..cut];
+            let decoded = Value::decode(b).map(|(_, n)| n);
+            prop_assert_eq!(Value::skip(b), decoded);
+        }
+    }
+
+    /// On valid encodings, `decode_cols` yields `decode`'s values in
+    /// every wanted column and `validate` its length.
+    #[test]
+    fn row_decoders_agree_on_valid_rows(
+        r in arb_wide_row(),
+        wanted in prop::collection::vec(any::<bool>(), 0..10),
+    ) {
+        let bytes = r.to_bytes();
+        prop_assert_eq!(Row::validate(&bytes), Ok(bytes.len()));
+        decoders_agree(&bytes, &wanted)?;
+    }
+
+    /// Under every truncation and every single-byte flip of a valid
+    /// encoding, `validate` and `decode_cols` fail exactly when
+    /// `decode` does, with the same error.
+    #[test]
+    fn row_decoders_agree_on_damaged_rows(
+        r in arb_wide_row(),
+        wanted in prop::collection::vec(any::<bool>(), 0..10),
+        flip in 1u32..256,
+    ) {
+        let bytes = r.to_bytes();
+        for cut in 0..bytes.len() {
+            decoders_agree(&bytes[..cut], &wanted)?;
+        }
+        let mut damaged = bytes.clone();
+        for i in 0..damaged.len() {
+            damaged[i] ^= flip as u8;
+            decoders_agree(&damaged, &wanted)?;
+            damaged[i] = bytes[i];
+        }
+    }
+
     /// Decoding arbitrary garbage never panics (errors are fine).
     #[test]
     fn decode_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..200)) {
         let _ = Value::decode(&bytes);
+        let _ = Value::skip(&bytes);
         let _ = Row::decode(&bytes);
+        let _ = Row::validate(&bytes);
+        let _ = Row::decode_cols(&bytes, &[true, false, true], &mut Row::default());
     }
 
     /// The total order is consistent: sorting twice gives the same

@@ -36,6 +36,11 @@ pub struct HashJoinExec {
     phase: Phase,
     pending: Vec<Row>,
     build_skipped: bool,
+    /// `probe_keys` as a column mask, for decoding spilled probe
+    /// records key-first.
+    probe_key_cols: Vec<bool>,
+    /// Reused key-only decode of the current spilled probe record.
+    probe_scratch: Row,
 }
 
 enum Phase {
@@ -70,6 +75,10 @@ impl HashJoinExec {
         probe_keys: Vec<usize>,
         grant_fallback: usize,
     ) -> HashJoinExec {
+        let mut probe_key_cols = vec![false; probe_keys.iter().max().map_or(0, |&k| k + 1)];
+        for &k in &probe_keys {
+            probe_key_cols[k] = true;
+        }
         HashJoinExec {
             node,
             build,
@@ -80,6 +89,8 @@ impl HashJoinExec {
             phase: Phase::Unopened,
             pending: Vec::new(),
             build_skipped: false,
+            probe_key_cols,
+            probe_scratch: Row::default(),
         }
     }
 
@@ -242,9 +253,13 @@ impl HashJoinExec {
             let mut idx = 0u64;
             let start = *chunk_start;
             let mut more = false;
-            for item in ctx.storage.scan_file(bp)? {
-                let (_, row) = item?;
+            let mut build_scan = ctx.storage.scan_file(bp)?;
+            while let Some(item) = build_scan.next_record() {
+                let (_, rec) = item?;
+                // Earlier chunks already joined this prefix: check it,
+                // but build nothing.
                 if idx < start {
+                    Row::validate(rec)?;
                     idx += 1;
                     continue;
                 }
@@ -252,6 +267,7 @@ impl HashJoinExec {
                     more = true;
                     break;
                 }
+                let row = Row::decode(rec)?.0;
                 ctx.clock.add_cpu(2);
                 bytes += row.encoded_len() + 16;
                 if let Some(key) = Self::key_of(&row, &self.build_keys) {
@@ -280,12 +296,17 @@ impl HashJoinExec {
                 continue;
             }
 
-            // Scan the probe partition against this chunk.
-            for item in ctx.storage.scan_file(pp)? {
-                let (_, row) = item?;
+            // Scan the probe partition against this chunk. Only the key
+            // columns are decoded up front; a probe row is built only
+            // when it has a match.
+            let mut probe_scan = ctx.storage.scan_file(pp)?;
+            while let Some(item) = probe_scan.next_record() {
+                let (_, rec) = item?;
+                Row::decode_cols(rec, &self.probe_key_cols, &mut self.probe_scratch)?;
                 ctx.clock.add_cpu(2);
-                if let Some(key) = Self::key_of(&row, &self.probe_keys) {
+                if let Some(key) = Self::key_of(&self.probe_scratch, &self.probe_keys) {
                     if let Some(matches) = table.get(&key) {
+                        let row = Row::decode(rec)?.0;
                         for b in matches {
                             ctx.clock.add_cpu(1);
                             self.pending.push(b.concat(&row));
@@ -338,12 +359,11 @@ fn partition_count(grant: usize, page_size: usize, pool_pages: usize) -> usize {
     by_grant.min(by_pool).clamp(2, MAX_PARTS)
 }
 
-/// The artifact stores the *same* build state the operator uses; to
-/// avoid cloning potentially large tables we move the real state into
-/// the operator and leave a metadata copy (spill files are shared, the
-/// in-memory table is rebuilt only if a switch actually happens —
-/// in-memory builds are cheap to rebuild relative to a switch's
-/// materialization, and spilled builds share their files).
+/// A copy of the finished build for the artifact store, so a plan
+/// switch at the phase hook keeps the build work. The operator keeps
+/// the original. An in-memory table is deep-copied, rows and all, on
+/// every hash join; a spilled build copies only its file list, and both
+/// copies name the same spill files.
 fn dup_metadata(hb: &HashBuild) -> HashBuild {
     HashBuild {
         in_mem: hb.in_mem.clone(),

@@ -9,6 +9,11 @@ use crate::context::ExecContext;
 use crate::Operator;
 
 /// Sequential heap-file scan with an optional in-stream filter.
+///
+/// With a filter, each record is first decoded only in the columns the
+/// filter reads, into a reused scratch row; the full row is decoded
+/// only for records that pass. Every record is still checked in full,
+/// and charged `1 + filter_ops` CPU ops whether it passes or not.
 pub struct SeqScanExec {
     #[allow(dead_code)]
     node: NodeId,
@@ -19,12 +24,20 @@ pub struct SeqScanExec {
     page_range: Option<(usize, usize)>,
     iter: Option<RowScan>,
     filter_ops: u64,
+    /// Columns the filter reads (see [`Expr::bound_column_mask`]).
+    filter_cols: Vec<bool>,
+    /// Reused partial decode of the current record for the filter.
+    scratch: Row,
 }
 
 impl SeqScanExec {
     /// Create a sequential scan.
     pub fn new(node: NodeId, spec: ScanSpec, filter: Option<Expr>) -> SeqScanExec {
         let filter_ops = filter.as_ref().map(|f| f.eval_cost_ops()).unwrap_or(0);
+        let filter_cols = filter
+            .as_ref()
+            .map(|f| f.bound_column_mask())
+            .unwrap_or_default();
         SeqScanExec {
             node,
             spec,
@@ -32,6 +45,8 @@ impl SeqScanExec {
             page_range: None,
             iter: None,
             filter_ops,
+            filter_cols,
+            scratch: Row::default(),
         }
     }
 
@@ -63,16 +78,21 @@ impl Operator for SeqScanExec {
             .iter
             .as_mut()
             .ok_or_else(|| MqError::Execution("scan not opened".into()))?;
-        for item in iter {
-            let (_, row) = item?;
-            ctx.clock.add_cpu(1 + self.filter_ops);
+        while let Some(item) = iter.next_record() {
+            let (_, rec) = item?;
             match &self.filter {
                 Some(f) => {
-                    if f.eval_predicate(&row)? {
-                        return Ok(Some(row));
+                    Row::decode_cols(rec, &self.filter_cols, &mut self.scratch)?;
+                    ctx.clock.add_cpu(1 + self.filter_ops);
+                    if f.eval_predicate(&self.scratch)? {
+                        return Ok(Some(Row::decode(rec)?.0));
                     }
                 }
-                None => return Ok(Some(row)),
+                None => {
+                    let row = Row::decode(rec)?.0;
+                    ctx.clock.add_cpu(1);
+                    return Ok(Some(row));
+                }
             }
         }
         Ok(None)

@@ -830,3 +830,136 @@ fn collector_reports_partial_stats_on_early_stop() {
     assert!(collected[0].rows >= 10);
     assert!(collected[0].rows < 500);
 }
+
+/// A scan filter evaluated inside `SeqScan` and the same predicate as
+/// a separate `Filter` over an unfiltered scan return the same rows at
+/// the same simulated cost: the scan charges `1 + filter_ops` per
+/// record, the split plan `1` in the scan plus `filter_ops` in the
+/// filter.
+#[test]
+fn filtered_scan_matches_scan_then_filter() {
+    let fx = Fixture::new();
+    fx.load_r("r", 3000, 50);
+    let pred = mq_expr::and(vec![
+        cmp(CmpOp::Lt, col("r.v"), lit(3i64)),
+        cmp(CmpOp::Ge, col("r.k"), lit(100i64)),
+    ]);
+
+    let mut fused = fx.scan_plan("r", Some(pred.clone()));
+    fused.assign_ids();
+    let before = fx.clock.snapshot();
+    let fused_rows = run_to_vec(&fused, &fx.ctx()).unwrap();
+    let fused_cost = fx.clock.snapshot().since(&before);
+
+    let scan = fx.scan_plan("r", None);
+    let schema = scan.schema.clone();
+    let predicate = pred.bind(&schema).unwrap();
+    let mut split = PhysPlan::new(PhysOp::Filter { predicate }, vec![scan], schema);
+    split.assign_ids();
+    let before = fx.clock.snapshot();
+    let split_rows = run_to_vec(&split, &fx.ctx()).unwrap();
+    let split_cost = fx.clock.snapshot().since(&before);
+
+    // v < 3 keeps 3 of every 50 keys (180 rows); k >= 100 drops 6.
+    assert_eq!(fused_rows.len(), 174);
+    assert_eq!(fused_rows, split_rows);
+    assert_eq!(fused_cost, split_cost);
+}
+
+/// A filtered scan still validates every column of every record it
+/// steps over: invalid UTF-8 in a column the filter never reads, in a
+/// row the filter rejects, fails the scan with a storage error.
+#[test]
+fn filtered_scan_rejects_corrupt_unreferenced_column() {
+    let fx = Fixture::new();
+    fx.load_r("r", 200, 10);
+    let entry = fx.catalog.table("r").unwrap();
+    // Row 117 carries "row-117"; turn its '7' into a byte that can
+    // never appear in UTF-8.
+    let pages = fx.storage.file_page_list(entry.file).unwrap();
+    let mut corrupted = 0;
+    for pid in pages {
+        fx.storage
+            .pool()
+            .with_page_mut(pid, |data| {
+                if let Some(at) = data.windows(7).position(|w| w == b"row-117") {
+                    data[at + 6] = 0xFF;
+                    corrupted += 1;
+                }
+            })
+            .unwrap();
+    }
+    assert_eq!(corrupted, 1);
+
+    // v is never negative, so the filter rejects every row.
+    let mut plan = fx.scan_plan("r", Some(cmp(CmpOp::Lt, col("r.v"), lit(0i64))));
+    plan.assign_ids();
+    let err = run_to_vec(&plan, &fx.ctx()).unwrap_err();
+    assert_eq!(err.kind(), "storage", "{err}");
+}
+
+/// A spilled hash join whose build partitions each exceed the grant
+/// runs several build chunks per partition, re-scanning the probe
+/// partition per chunk. Rows match the in-memory oracle, and the
+/// simulated cost is pinned exactly.
+#[test]
+fn chunked_spill_hash_join_matches_oracle_at_pinned_cost() {
+    let cfg = EngineConfig {
+        buffer_pool_pages: 16,
+        ..EngineConfig::default()
+    };
+    let fx = Fixture::with_cfg(cfg.clone());
+    fx.load_r("a", 2000, 50);
+    fx.load_r("b", 1500, 50);
+
+    let mut oracle = hash_join_plan(
+        fx.scan_plan("a", None),
+        fx.scan_plan("b", None),
+        "a.v",
+        "b.v",
+        8 << 20,
+    );
+    oracle.assign_ids();
+    let mut expect = run_to_vec(&oracle, &fx.ctx()).unwrap();
+
+    // A two-page grant spills into two partitions (the fan-out floor).
+    let grant = 2 * cfg.page_size;
+    let usable = (grant as f64 / mq_memory::HASH_OVERHEAD) as usize;
+    let mut part_bytes = [0usize; 2];
+    for i in 0..2000i64 {
+        let row = Row::new(vec![
+            Value::Int(i),
+            Value::Int(i % 50),
+            Value::str(format!("row-{i}")),
+        ]);
+        let p = (crate::context::hash_key(&[Value::Int(i % 50)], 1) % 2) as usize;
+        part_bytes[p] += row.encoded_len() + 16;
+    }
+    assert!(
+        part_bytes.iter().all(|&b| b > 2 * usable),
+        "every build partition must need several chunks: {part_bytes:?} vs {usable}"
+    );
+
+    let mut spilled = hash_join_plan(
+        fx.scan_plan("a", None),
+        fx.scan_plan("b", None),
+        "a.v",
+        "b.v",
+        grant,
+    );
+    spilled.assign_ids();
+    let before = fx.clock.snapshot();
+    let mut got = run_to_vec(&spilled, &fx.ctx()).unwrap();
+    let cost = fx.clock.snapshot().since(&before);
+
+    assert_eq!(expect.len(), 2000 * 30);
+    let keyfn = |r: &Row| format!("{r}");
+    expect.sort_by_key(keyfn);
+    got.sort_by_key(keyfn);
+    assert_eq!(expect, got, "chunked spill must produce the oracle's rows");
+    assert_eq!(
+        (cost.cpu_ops, cost.pages_read, cost.pages_written),
+        (103_995, 88, 34),
+        "simulated cost of the chunked spill join"
+    );
+}

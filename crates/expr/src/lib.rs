@@ -425,6 +425,22 @@ impl Expr {
         out
     }
 
+    /// Mask of the row positions a bound expression reads: entry `i`
+    /// is set when a [`Expr::BoundColumn`] with index `i` occurs.
+    /// Unbound columns are not counted.
+    pub fn bound_column_mask(&self) -> Vec<bool> {
+        let mut mask = Vec::new();
+        self.walk(&mut |e| {
+            if let Expr::BoundColumn { index, .. } = e {
+                if mask.len() <= *index {
+                    mask.resize(index + 1, false);
+                }
+                mask[*index] = true;
+            }
+        });
+        mask
+    }
+
     /// Split a conjunction into its conjuncts (a non-AND expression is
     /// a single conjunct).
     pub fn conjuncts(&self) -> Vec<Expr> {

@@ -138,16 +138,11 @@ impl Storage {
             .ok_or_else(|| MqError::NotFound(format!("{file}")))
     }
 
-    /// Sequentially scan a heap file, decoding every row.
+    /// Sequentially scan a heap file, one page read per page. The
+    /// returned [`RowScan`] yields decoded rows as an iterator, or raw
+    /// records through [`RowScan::next_record`].
     pub fn scan_file(&self, file: FileId) -> Result<RowScan> {
-        let pages = self.file_page_list(file)?;
-        Ok(RowScan {
-            storage: self.clone(),
-            pages,
-            page_idx: 0,
-            buffered: Vec::new(),
-            buf_idx: 0,
-        })
+        Ok(RowScan::new(self, self.file_page_list(file)?))
     }
 
     /// Scan a contiguous slice of a heap file's pages: positions
@@ -161,13 +156,7 @@ impl Storage {
         let lo = page_lo.min(hi);
         pages.truncate(hi);
         pages.drain(..lo);
-        Ok(RowScan {
-            storage: self.clone(),
-            pages,
-            page_idx: 0,
-            buffered: Vec::new(),
-            buf_idx: 0,
-        })
+        Ok(RowScan::new(self, pages))
     }
 
     /// Fetch a single row by record id (used by index scans).
@@ -314,49 +303,88 @@ impl Storage {
     }
 }
 
-/// Iterator over a heap file's rows. Decodes one page's rows at a time
-/// so page borrows never escape the buffer pool.
+/// Sequential reader over a heap file's records.
+///
+/// Each page is read through the buffer pool exactly once, when the
+/// previous page's records are used up, and copied out so no page
+/// borrow escapes the pool. [`RowScan::next_record`] hands out the
+/// encoded records of that copy; the [`Iterator`] impl decodes each one
+/// into a [`Row`]. Callers that only need some columns, or only some
+/// records, decode just those from the bytes.
 pub struct RowScan {
     storage: Storage,
     pages: Vec<PageId>,
     page_idx: usize,
-    buffered: Vec<(Rid, Row)>,
-    buf_idx: usize,
+    /// Copy of the current page; empty before the first page is read.
+    page: Vec<u8>,
+    pid: PageId,
+    /// Next slot of `page` to look at.
+    slot: u16,
+}
+
+impl RowScan {
+    fn new(storage: &Storage, pages: Vec<PageId>) -> RowScan {
+        RowScan {
+            storage: storage.clone(),
+            pages,
+            page_idx: 0,
+            page: Vec::new(),
+            pid: PageId::INVALID,
+            slot: 0,
+        }
+    }
+
+    /// The next live record's id and encoded bytes (see
+    /// [`Row::decode`]), or `None` at the end of the file. The bytes
+    /// are not checked here. An error reading a page ends that page.
+    pub fn next_record(&mut self) -> Option<Result<(Rid, &[u8])>> {
+        let slot = loop {
+            if let Some(slot) = self.next_live_slot() {
+                break slot;
+            }
+            let pid = *self.pages.get(self.page_idx)?;
+            self.page_idx += 1;
+            let page = &mut self.page;
+            page.clear();
+            if let Err(e) = self
+                .storage
+                .inner
+                .pool
+                .with_page(pid, |data| page.extend_from_slice(data))
+            {
+                return Some(Err(e));
+            }
+            self.pid = pid;
+            self.slot = 0;
+        };
+        let rec = page::get(&self.page, slot).expect("next_live_slot found a live record");
+        Some(Ok((Rid::new(self.pid, slot), rec)))
+    }
+
+    /// Advance past the current page's next live slot and return it.
+    fn next_live_slot(&mut self) -> Option<u16> {
+        if self.page.is_empty() {
+            return None;
+        }
+        while self.slot < page::slot_count(&self.page) {
+            let slot = self.slot;
+            self.slot += 1;
+            if page::get(&self.page, slot).is_some() {
+                return Some(slot);
+            }
+        }
+        None
+    }
 }
 
 impl Iterator for RowScan {
     type Item = Result<(Rid, Row)>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if self.buf_idx < self.buffered.len() {
-                let item = self.buffered[self.buf_idx].clone();
-                self.buf_idx += 1;
-                return Some(Ok(item));
-            }
-            if self.page_idx >= self.pages.len() {
-                return None;
-            }
-            let pid = self.pages[self.page_idx];
-            self.page_idx += 1;
-            self.buf_idx = 0;
-            let decoded = self.storage.inner.pool.with_page(pid, |data| {
-                let mut rows = Vec::new();
-                for slot in 0..page::slot_count(data) {
-                    if let Some(rec) = page::get(data, slot) {
-                        match Row::decode(rec) {
-                            Ok((row, _)) => rows.push((Rid::new(pid, slot), row)),
-                            Err(e) => return Err(e),
-                        }
-                    }
-                }
-                Ok(rows)
-            });
-            match decoded {
-                Ok(Ok(rows)) => self.buffered = rows,
-                Ok(Err(e)) | Err(e) => return Some(Err(e)),
-            }
-        }
+        Some(
+            self.next_record()?
+                .and_then(|(rid, rec)| Ok((rid, Row::decode(rec)?.0))),
+        )
     }
 }
 
