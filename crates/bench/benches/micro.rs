@@ -20,7 +20,7 @@ use midq::exec::context::ExecContext;
 use midq::exec::scan::SeqScanExec;
 use midq::exec::Operator;
 use midq::expr::{and, between, cmp, col, lit, CmpOp};
-use midq::plan::{NodeId, ScanSpec};
+use midq::plan::ScanSpec;
 use midq::stats::{Histogram, HistogramKind, Reservoir};
 use midq::storage::Storage;
 use midq::{Database, ReoptMode};
@@ -130,7 +130,7 @@ fn bench_seq_scan(c: &mut Criterion) {
     };
     let ctx = ExecContext::new(st, clock, cfg);
     let scan = |filter: Option<&midq::expr::Expr>| {
-        let mut op = SeqScanExec::new(NodeId(0), spec.clone(), filter.cloned());
+        let mut op = SeqScanExec::new(spec.clone(), filter.cloned());
         op.open(&ctx).unwrap();
         let mut n = 0usize;
         while let Some(row) = op.next(&ctx).unwrap() {

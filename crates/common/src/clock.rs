@@ -140,11 +140,6 @@ impl SimClock {
         }
     }
 
-    /// Whether `self` and `other` share the same counters.
-    pub fn same_counters(&self, other: &SimClock) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
-    }
-
     /// Make this clock the charge target for the current thread until
     /// the returned guard drops: charges against this clock's *parent*
     /// made on this thread are redirected here (see the type docs).
@@ -242,6 +237,18 @@ impl SimClock {
     pub fn elapsed_ms(&self, cfg: &EngineConfig) -> f64 {
         self.snapshot().time_ms(cfg)
     }
+
+    /// Charge an exponential backoff before retry `attempt` (1-based):
+    /// `base_ms × 2^(attempt−1)` simulated milliseconds, expressed in
+    /// CPU ops. The exponent is capped at 16; nothing is charged when
+    /// CPU work is free (`cpu_op_ms` of 0).
+    pub fn charge_backoff(&self, cfg: &EngineConfig, base_ms: f64, attempt: u32) {
+        if cfg.cpu_op_ms <= 0.0 {
+            return;
+        }
+        let factor = f64::from(1u32 << attempt.saturating_sub(1).min(16));
+        self.add_cpu((base_ms * factor / cfg.cpu_op_ms).ceil() as u64);
+    }
 }
 
 #[cfg(test)]
@@ -264,6 +271,29 @@ mod tests {
             + 20.0 * cfg.opt_work_ms;
         assert!((snap.time_ms(&cfg) - expect).abs() < 1e-9);
         assert_eq!(snap.io_total(), 15);
+    }
+
+    #[test]
+    fn backoff_doubles_per_attempt() {
+        let cfg = EngineConfig::default();
+        for (base_ms, expect) in [(5.0, [2500, 5000, 10000]), (50.0, [25000, 50000, 100000])] {
+            for (attempt, ops) in (1..=3).zip(expect) {
+                let clock = SimClock::new();
+                clock.charge_backoff(&cfg, base_ms, attempt);
+                assert_eq!(
+                    clock.snapshot().cpu_ops,
+                    ops,
+                    "{base_ms} ms, attempt {attempt}"
+                );
+            }
+        }
+        let free = EngineConfig {
+            cpu_op_ms: 0.0,
+            ..EngineConfig::default()
+        };
+        let clock = SimClock::new();
+        clock.charge_backoff(&free, 50.0, 3);
+        assert_eq!(clock.snapshot().cpu_ops, 0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Engine configuration.
 //!
-//! All tunables live here, including the three knobs the paper
-//! introduces for Dynamic Re-Optimization:
+//! Every value a caller sets lives here, including the three knobs the
+//! paper introduces for Dynamic Re-Optimization:
 //!
 //! * `mu` (μ) — the maximum acceptable statistics-collection overhead as
 //!   a fraction of the optimizer's estimated query time (§2.5; the paper
@@ -16,6 +16,18 @@
 //! The cost constants convert counted physical operations into a
 //! deterministic simulated time, replacing the paper's wall-clock
 //! measurements on the Paradise cluster (see DESIGN.md, substitutions).
+//!
+//! Values that nothing overrides are named constants in the crate that
+//! reads them, not fields here:
+//!
+//! * `mq_stats`: `RESERVOIR_SIZE` and `HISTOGRAM_BUCKETS`;
+//! * `mq_expr`: `UDF_SELECTIVITY`, `DEFAULT_EQ_SELECTIVITY` and
+//!   `DEFAULT_RANGE_SELECTIVITY`;
+//! * `mq_reopt::engine`: `TRANSIENT_RETRY_LIMIT`,
+//!   `TRANSIENT_RETRY_BACKOFF_MS`, `CACHE_SHARDS`,
+//!   `PLAN_CACHE_STALENESS` and `HIST_REFRESH_ERROR_FACTOR`;
+//! * `mq_runtime`: `RECOVERY_ATTEMPT_LIMIT` and `RECOVERY_BACKOFF_MS`;
+//! * `mq_par`: `PAR_BUCKETS` and `PAR_BROADCAST_ROWS`.
 
 use crate::error::{MqError, Result};
 
@@ -45,17 +57,6 @@ pub struct EngineConfig {
     pub theta1: f64,
     /// θ2 — sub-optimality threshold of Equation 2 (§2.4).
     pub theta2: f64,
-    /// Reservoir-sample size used by runtime statistics collectors.
-    pub reservoir_size: usize,
-    /// Bucket count for runtime-built histograms.
-    pub histogram_buckets: usize,
-    /// Default selectivity guess for predicates the optimizer cannot
-    /// estimate (user-defined functions; §2.5 "always high" inaccuracy).
-    pub udf_selectivity: f64,
-    /// Default equality selectivity when no statistics exist.
-    pub default_eq_selectivity: f64,
-    /// Default range selectivity when no statistics exist.
-    pub default_range_selectivity: f64,
     /// Plan-switch acceptance margin: the re-optimized remainder (plus
     /// materialization) must be predicted at least this factor cheaper
     /// than continuing. 1.0 reproduces the paper's bare `<` comparison;
@@ -77,38 +78,10 @@ pub struct EngineConfig {
     /// the paper's experiments (and EXPERIMENTS.md) measure every query
     /// against the *same* stale catalog.
     pub stats_feedback: bool,
-    /// Maximum segment retries after a *transient* storage fault
-    /// (see `MqError::is_transient`). Each retry re-runs the current
-    /// segment from its already-materialized inputs; 0 disables
-    /// retrying.
-    pub transient_retry_limit: u32,
-    /// Simulated-clock backoff before the first segment retry, in
-    /// milliseconds; doubles on each further retry.
-    pub transient_retry_backoff_ms: f64,
-    /// Maximum recovery attempts the runtime makes after an injected
-    /// crash (simulated process kill) before reporting the query as
-    /// failed. 0 disables recovery — crashed queries stay crashed and
-    /// their artifacts wait for the next stale-temp sweep.
-    pub recovery_attempt_limit: u32,
-    /// Simulated-clock backoff before the first recovery attempt, in
-    /// milliseconds; doubles on each further attempt (mirrors
-    /// `transient_retry_backoff_ms` but models process restart, not an
-    /// I/O hiccup, hence the larger default).
-    pub recovery_backoff_ms: f64,
-    /// Number of logical hash buckets used by partitioned (exchange)
-    /// execution. Buckets — not partitions — are the unit of routing
-    /// and of per-bucket pipeline runs, so results are byte-identical
-    /// for any partition count; partitions only group buckets for the
-    /// max-over-partitions elapsed-time accounting.
-    pub par_buckets: usize,
     /// Skew-verdict threshold: an exchange stage whose max/mean
     /// per-partition cardinality ratio exceeds this fires a skew
     /// verdict and re-balances the bucket→partition assignment.
     pub par_skew_theta: f64,
-    /// Broadcast threshold: a hash-join build side whose estimated
-    /// cardinality is at or below this is broadcast (replicated to
-    /// every partition) instead of hash-repartitioned.
-    pub par_broadcast_rows: f64,
     /// Cross-query sub-plan caching: promote plan-switch
     /// materializations into a fingerprint-keyed cache and splice
     /// `CachedScan` nodes over matching sub-trees of later queries.
@@ -120,11 +93,6 @@ pub struct EngineConfig {
     /// live entries within it (a runtime may re-lease this from the
     /// global memory broker).
     pub cache_budget_bytes: usize,
-    /// Number of independently-locked shards the sub-plan cache is
-    /// split into (hash-routed by fingerprint). One shard reproduces
-    /// the single-lock behavior; more shards stop the probe path from
-    /// serializing concurrent workers. Fixed at engine construction.
-    pub cache_shards: usize,
     /// Normalized-SQL plan caching: canonicalize query text into a
     /// family key, cache the optimized physical plan template after
     /// enumeration, and rebind literals on later probes so repeated
@@ -133,16 +101,7 @@ pub struct EngineConfig {
     pub plan_cache_enabled: bool,
     /// Maximum number of plan-cache entries (LRU-evicted beyond this).
     pub plan_cache_entries: usize,
-    /// Staleness threshold for cached plans: once this many feedback
-    /// corrections have been applied against a cached plan's sub-plan
-    /// fingerprints *since it was entered*, the entry is re-enumerated
-    /// on its next probe (`plan_cache_reoptimized`).
-    pub plan_cache_staleness: u64,
-    /// Adaptive histogram refresh trigger: a graph-level feedback hit
-    /// whose `max(obs/est, est/obs)` error exceeds this factor counts
-    /// as a large error for its base-table column.
-    pub hist_refresh_error_factor: f64,
-    /// Number of large errors (see `hist_refresh_error_factor`)
+    /// Number of large errors (see `mq_reopt::engine::HIST_REFRESH_ERROR_FACTOR`)
     /// attributable to one base-table column before its histogram is
     /// incrementally rebuilt from live data. 0 disables the refresh.
     pub hist_refresh_hits: u32,
@@ -161,28 +120,14 @@ impl Default for EngineConfig {
             mu: 0.05,
             theta1: 0.05,
             theta2: 0.2,
-            reservoir_size: 1024,
-            histogram_buckets: 32,
-            udf_selectivity: 0.1,
-            default_eq_selectivity: 0.005,
-            default_range_selectivity: 0.3,
             switch_margin: 2.5,
             realloc_headroom: 1.5,
             stats_feedback: false,
-            transient_retry_limit: 2,
-            transient_retry_backoff_ms: 5.0,
-            recovery_attempt_limit: 3,
-            recovery_backoff_ms: 50.0,
-            par_buckets: 64,
             par_skew_theta: 4.0,
-            par_broadcast_rows: 64.0,
             cache_enabled: false,
             cache_budget_bytes: 4 * 1024 * 1024,
-            cache_shards: 8,
             plan_cache_enabled: false,
             plan_cache_entries: 64,
-            plan_cache_staleness: 5,
-            hist_refresh_error_factor: 4.0,
             hist_refresh_hits: 3,
         }
     }
@@ -242,39 +187,10 @@ impl EngineConfig {
                 self.realloc_headroom
             )));
         }
-        if !(self.transient_retry_backoff_ms.is_finite() && self.transient_retry_backoff_ms >= 0.0)
-        {
-            return Err(MqError::InvalidConfig(format!(
-                "transient_retry_backoff_ms {} must be finite and non-negative",
-                self.transient_retry_backoff_ms
-            )));
-        }
-        if !(self.recovery_backoff_ms.is_finite() && self.recovery_backoff_ms >= 0.0) {
-            return Err(MqError::InvalidConfig(format!(
-                "recovery_backoff_ms {} must be finite and non-negative",
-                self.recovery_backoff_ms
-            )));
-        }
-        if self.reservoir_size == 0 || self.histogram_buckets == 0 {
-            return Err(MqError::InvalidConfig(
-                "reservoir_size and histogram_buckets must be positive".into(),
-            ));
-        }
-        if self.par_buckets == 0 {
-            return Err(MqError::InvalidConfig(
-                "par_buckets must be positive".into(),
-            ));
-        }
         if self.par_skew_theta < 1.0 || !self.par_skew_theta.is_finite() {
             return Err(MqError::InvalidConfig(format!(
                 "par_skew_theta {} must be ≥ 1",
                 self.par_skew_theta
-            )));
-        }
-        if !(self.par_broadcast_rows.is_finite() && self.par_broadcast_rows >= 0.0) {
-            return Err(MqError::InvalidConfig(format!(
-                "par_broadcast_rows {} must be finite and non-negative",
-                self.par_broadcast_rows
             )));
         }
         if self.cache_enabled && self.cache_budget_bytes < self.page_size {
@@ -283,26 +199,10 @@ impl EngineConfig {
                 self.cache_budget_bytes
             )));
         }
-        if self.cache_shards == 0 {
-            return Err(MqError::InvalidConfig(
-                "cache_shards must be positive".into(),
-            ));
-        }
         if self.plan_cache_enabled && self.plan_cache_entries == 0 {
             return Err(MqError::InvalidConfig(
                 "plan_cache_entries must be positive when the plan cache is enabled".into(),
             ));
-        }
-        if self.plan_cache_staleness == 0 {
-            return Err(MqError::InvalidConfig(
-                "plan_cache_staleness must be positive".into(),
-            ));
-        }
-        if self.hist_refresh_error_factor < 1.0 || !self.hist_refresh_error_factor.is_finite() {
-            return Err(MqError::InvalidConfig(format!(
-                "hist_refresh_error_factor {} must be ≥ 1",
-                self.hist_refresh_error_factor
-            )));
         }
         Ok(())
     }
@@ -350,27 +250,7 @@ mod tests {
                 ..EngineConfig::default()
             },
             EngineConfig {
-                histogram_buckets: 0,
-                ..EngineConfig::default()
-            },
-            EngineConfig {
-                transient_retry_backoff_ms: f64::INFINITY,
-                ..EngineConfig::default()
-            },
-            EngineConfig {
-                par_buckets: 0,
-                ..EngineConfig::default()
-            },
-            EngineConfig {
-                recovery_backoff_ms: -1.0,
-                ..EngineConfig::default()
-            },
-            EngineConfig {
                 par_skew_theta: 0.5,
-                ..EngineConfig::default()
-            },
-            EngineConfig {
-                par_broadcast_rows: f64::NAN,
                 ..EngineConfig::default()
             },
             EngineConfig {
@@ -379,20 +259,8 @@ mod tests {
                 ..EngineConfig::default()
             },
             EngineConfig {
-                cache_shards: 0,
-                ..EngineConfig::default()
-            },
-            EngineConfig {
                 plan_cache_enabled: true,
                 plan_cache_entries: 0,
-                ..EngineConfig::default()
-            },
-            EngineConfig {
-                plan_cache_staleness: 0,
-                ..EngineConfig::default()
-            },
-            EngineConfig {
-                hist_refresh_error_factor: 0.5,
                 ..EngineConfig::default()
             },
         ];

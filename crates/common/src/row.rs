@@ -57,11 +57,6 @@ impl Row {
         &self.values
     }
 
-    /// Consume into the value vector.
-    pub fn into_values(self) -> Vec<Value> {
-        self.values
-    }
-
     /// Concatenate two rows (join output).
     pub fn concat(&self, other: &Row) -> Row {
         let mut values = Vec::with_capacity(self.values.len() + other.values.len());

@@ -8,7 +8,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::error::{MqError, Result};
-use crate::value::{DataType, Value};
+use crate::value::DataType;
 
 /// One column of a schema.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -167,12 +167,6 @@ impl Schema {
                 })
                 .collect(),
         }
-    }
-
-    /// Average encoded width of a row with example `values`, used as a
-    /// fallback when no statistics exist.
-    pub fn example_row_bytes(&self, values: &[Value]) -> usize {
-        values.iter().map(Value::encoded_len).sum()
     }
 }
 

@@ -30,14 +30,6 @@ pub enum DataType {
     Str,
 }
 
-impl DataType {
-    /// Whether values of this type have a natural numeric interpretation
-    /// usable by histograms.
-    pub fn is_numeric_like(self) -> bool {
-        matches!(self, DataType::Int | DataType::Float | DataType::Date)
-    }
-}
-
 impl fmt::Display for DataType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {

@@ -670,16 +670,3 @@ impl ExecMonitor for ReoptController {
         Ok(())
     }
 }
-
-/// Helper: does this plan have any collector with specs (diagnostics).
-pub fn has_specced_collector(plan: &PhysPlan) -> bool {
-    let mut found = false;
-    plan.walk(&mut |n| {
-        if let PhysOp::StatsCollector { specs, .. } = &n.op {
-            if !specs.is_empty() {
-                found = true;
-            }
-        }
-    });
-    found
-}

@@ -28,7 +28,7 @@ use mq_optimizer::{
 use mq_par::{parallelize, run_partitioned, ParReport, ParSpec};
 use mq_plan::{base_tables, subplan_fingerprint, LogicalPlan, NodeId, PhysOp, PhysPlan, ScanSpec};
 use mq_plancache::{normalize, CachedPlan, Freshness, NormalizedQuery, PlanCache, PlanCacheStats};
-use mq_stats::HistogramKind;
+use mq_stats::{HistogramKind, HISTOGRAM_BUCKETS, RESERVOIR_SIZE};
 use mq_storage::Storage;
 use parking_lot::Mutex;
 
@@ -36,6 +36,27 @@ use crate::controller::ReoptController;
 use crate::manifest::{plan_hash, CheckpointRecord, ManifestStore, QueryManifest};
 use crate::scia::insert_collectors;
 use crate::ReoptMode;
+
+/// Maximum segment retries after a *transient* storage fault (see
+/// `MqError::is_transient`). Each retry re-runs the current segment
+/// from its already-materialized inputs.
+pub const TRANSIENT_RETRY_LIMIT: u32 = 2;
+/// Simulated-clock backoff before the first segment retry, in
+/// milliseconds; doubles on each further retry.
+pub const TRANSIENT_RETRY_BACKOFF_MS: f64 = 5.0;
+/// Number of independently-locked shards the sub-plan cache is split
+/// into (hash-routed by fingerprint), so the probe path does not
+/// serialize concurrent workers.
+pub const CACHE_SHARDS: usize = 8;
+/// Staleness threshold for cached plans: once this many feedback
+/// corrections have been applied against a cached plan's sub-plan
+/// fingerprints *since it was entered*, the entry is re-enumerated on
+/// its next probe (`plan_cache_reoptimized`).
+pub const PLAN_CACHE_STALENESS: u64 = 5;
+/// Adaptive histogram refresh trigger: a graph-level feedback hit
+/// whose `max(obs/est, est/obs)` error reaches this factor counts as a
+/// large error for its base-table column.
+pub const HIST_REFRESH_ERROR_FACTOR: f64 = 4.0;
 
 /// Everything a finished query reports.
 #[derive(Debug, Clone)]
@@ -537,7 +558,7 @@ impl Engine {
         let optimizer = Optimizer::new(cfg.clone());
         let mm = MemoryManager::new(&cfg);
         let calibration = Arc::new(OptCalibration::run(&cfg, 6)?);
-        let cache = SubPlanCache::with_shards(cfg.cache_budget_bytes as u64, cfg.cache_shards);
+        let cache = SubPlanCache::with_shards(cfg.cache_budget_bytes as u64, CACHE_SHARDS);
         let plancache = PlanCache::new(cfg.plan_cache_entries);
         let engine = Engine {
             cfg,
@@ -864,7 +885,7 @@ impl Engine {
     /// closure encodes the staleness policy: a dependency table whose
     /// data version moved, or feedback corrections against the
     /// template's fingerprints accumulating past
-    /// `plan_cache_staleness`, drop the entry so the caller's full
+    /// [`PLAN_CACHE_STALENESS`], drop the entry so the caller's full
     /// re-optimization re-enters it. `None` when the cache is off, the
     /// query came as a plan, or its text does not normalize.
     fn consult_plan_cache(&self, source: PlanSource<'_>) -> Option<PlanCacheAction> {
@@ -887,7 +908,7 @@ impl Engine {
                 .feedback
                 .applied_sum(&e.fingerprints)
                 .saturating_sub(e.applied_at)
-                >= self.cfg.plan_cache_staleness
+                >= PLAN_CACHE_STALENESS
             {
                 Freshness::StaleFeedback
             } else {
@@ -974,7 +995,7 @@ impl Engine {
         // before allocation/recost, so grants and costs see the final
         // node ids.
         if let Some(par) = &q.env.par {
-            parallelize(&mut plan, par, &self.cfg)?;
+            parallelize(&mut plan, par)?;
         }
         q.env.mm.allocate(&mut plan, &self.cfg)?;
         recost(&mut plan, &self.cfg);
@@ -1068,7 +1089,7 @@ impl Engine {
                 e
             }
         };
-        if !err.is_transient() || q.segment_retries >= self.cfg.transient_retry_limit {
+        if !err.is_transient() || q.segment_retries >= TRANSIENT_RETRY_LIMIT {
             return Err(err);
         }
         self.prepare_segment_retry(q, &err);
@@ -1314,25 +1335,15 @@ impl Engine {
         let retry = q.segment_retries;
         q.controller.record(ObsEvent::SegmentRetry {
             retry,
-            limit: self.cfg.transient_retry_limit,
+            limit: TRANSIENT_RETRY_LIMIT,
             cause: cause.to_string(),
         });
         q.ctx.clear_artifacts();
         let _ = q.ctx.release_temp_files();
         q.ctx.clear_grants();
-        self.charge_backoff(&q.env, retry);
-    }
-
-    /// Charge the simulated clock for the retry backoff:
-    /// `transient_retry_backoff_ms × 2^(retry−1)`, expressed in CPU ops.
-    fn charge_backoff(&self, env: &JobEnv, retry: u32) {
-        if self.cfg.cpu_op_ms <= 0.0 {
-            return;
-        }
-        let factor = f64::from(1u32 << retry.saturating_sub(1).min(16));
-        let backoff_ms = self.cfg.transient_retry_backoff_ms * factor;
-        env.clock
-            .add_cpu((backoff_ms / self.cfg.cpu_op_ms).ceil() as u64);
+        q.env
+            .clock
+            .charge_backoff(&self.cfg, TRANSIENT_RETRY_BACKOFF_MS, retry);
     }
 
     /// Optimizer post-pass over the feedback store: re-stamp `est_rows`
@@ -1462,7 +1473,7 @@ impl Engine {
     }
 
     /// Adaptive histogram refresh: when graph-level feedback hits keep
-    /// showing large errors (`hist_refresh_error_factor`) attributable
+    /// showing large errors ([`HIST_REFRESH_ERROR_FACTOR`]) attributable
     /// to exactly one base-table predicate column, rebuild just that
     /// column's histogram (incremental MaxDiff) from live data and
     /// drop the per-fingerprint corrections it makes redundant.
@@ -1479,7 +1490,7 @@ impl Engine {
             let est = h.estimated_rows.max(1.0);
             let obs = h.observed_rows.max(1.0);
             let err = (obs / est).max(est / obs);
-            if err < self.cfg.hist_refresh_error_factor {
+            if err < HIST_REFRESH_ERROR_FACTOR {
                 continue;
             }
             let key = (h.table.clone(), column.clone());
@@ -1500,8 +1511,8 @@ impl Engine {
                     &h.table,
                     column,
                     HistogramKind::MaxDiff,
-                    self.cfg.histogram_buckets,
-                    self.cfg.reservoir_size,
+                    HISTOGRAM_BUCKETS,
+                    RESERVOIR_SIZE,
                     0xA11A,
                 )
                 .is_ok()

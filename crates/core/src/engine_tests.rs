@@ -7,7 +7,10 @@ use mq_obs::{ObsEvent, ReoptVerdict};
 use mq_plan::{AggExpr, AggFunc, LogicalPlan, PhysOp};
 use mq_stats::HistogramKind;
 
-use crate::engine::{Engine, ExecRequest, JobEnv, PlanSource, QueryOutcome};
+use crate::engine::{
+    Engine, ExecRequest, JobEnv, PlanSource, QueryOutcome, TRANSIENT_RETRY_BACKOFF_MS,
+    TRANSIENT_RETRY_LIMIT,
+};
 use crate::ReoptMode;
 
 /// The outcome's events, one report line each (assertion context).
@@ -820,7 +823,7 @@ fn transient_faults_beyond_the_retry_limit_fail() {
     use mq_common::{FaultInjector, FaultKind, FaultSite, FaultSpec};
     let engine = small_engine();
     let q = group_by_query();
-    let limit = engine.config().transient_retry_limit;
+    let limit = TRANSIENT_RETRY_LIMIT;
 
     // One more transient fault than the retry budget: every retry hits
     // the next scheduled fault, and the last one has no budget left.
@@ -864,7 +867,7 @@ fn segment_retries_charge_simulated_backoff() {
     // The faulted run re-ran the segment and paid at least the first
     // backoff step on top of the clean run's time.
     assert!(
-        out.time_ms > clean.time_ms + engine.config().transient_retry_backoff_ms * 0.99,
+        out.time_ms > clean.time_ms + TRANSIENT_RETRY_BACKOFF_MS * 0.99,
         "faulted {} ms vs clean {} ms",
         out.time_ms,
         clean.time_ms

@@ -13,7 +13,9 @@ use std::collections::HashMap;
 
 use mq_common::{Result, Row, Schema};
 use mq_plan::{CollectorSpec, NodeId};
-use mq_stats::{ColumnAccumulator, HistogramKind, ObservedColumn};
+use mq_stats::{
+    ColumnAccumulator, HistogramKind, ObservedColumn, HISTOGRAM_BUCKETS, RESERVOIR_SIZE,
+};
 
 use crate::context::ExecContext;
 use crate::Operator;
@@ -40,7 +42,7 @@ pub struct ObservedStats {
 /// capture-mode finalize deposits into
 /// [`crate::ExecContext::collector_capture`]. The partitioned driver
 /// merges the parts of every bucket run of the same site
-/// ([`merge_parts`]) and finishes them into one [`ObservedStats`].
+/// ([`CollectorParts::merge`]) and finishes them into one [`ObservedStats`].
 #[derive(Debug, Clone)]
 pub struct CollectorParts {
     /// The collector's plan-node id.
@@ -74,7 +76,7 @@ impl CollectorParts {
 
     /// Finish the (possibly merged) parts into the [`ObservedStats`]
     /// the monitor consumes.
-    pub fn finish(&self, cfg: &mq_common::EngineConfig) -> ObservedStats {
+    pub fn finish(&self) -> ObservedStats {
         finish_observed(
             self.node,
             &self.specs,
@@ -82,7 +84,6 @@ impl CollectorParts {
             self.rows,
             self.bytes,
             self.complete,
-            cfg,
         )
     }
 }
@@ -97,11 +98,10 @@ pub fn finish_observed(
     rows: u64,
     bytes: u64,
     complete: bool,
-    cfg: &mq_common::EngineConfig,
 ) -> ObservedStats {
     let mut columns = HashMap::new();
     for (spec, acc) in specs.iter().zip(accs) {
-        let mut obs = acc.finish(HistogramKind::MaxDiff, cfg.histogram_buckets);
+        let mut obs = acc.finish(HistogramKind::MaxDiff, HISTOGRAM_BUCKETS);
         if !spec.histogram {
             obs.histogram = None;
         }
@@ -159,7 +159,7 @@ impl StatsCollectorExec {
         }
     }
 
-    fn bind(&mut self, ctx: &ExecContext) -> Result<()> {
+    fn bind(&mut self) -> Result<()> {
         if self.bound {
             return Ok(());
         }
@@ -167,7 +167,7 @@ impl StatsCollectorExec {
             let idx = self.schema.index_of(&spec.column)?;
             self.specs.push((spec.clone(), idx));
             self.accs.push(ColumnAccumulator::new(
-                ctx.cfg.reservoir_size,
+                RESERVOIR_SIZE,
                 0x5EED ^ (self.node.0 as u64) << 8 ^ i as u64,
             ));
         }
@@ -200,7 +200,6 @@ impl StatsCollectorExec {
             self.rows,
             self.bytes,
             complete,
-            &ctx.cfg,
         );
         ctx.notify_collector(stats)
     }
@@ -208,7 +207,7 @@ impl StatsCollectorExec {
 
 impl Operator for StatsCollectorExec {
     fn open(&mut self, ctx: &ExecContext) -> Result<()> {
-        self.bind(ctx)?;
+        self.bind()?;
         self.input.open(ctx)
     }
 

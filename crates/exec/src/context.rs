@@ -241,11 +241,6 @@ impl ExecContext {
         reclaimed
     }
 
-    /// Temp files currently registered (diagnostics).
-    pub fn temp_files_outstanding(&self) -> usize {
-        self.temp_files.borrow().len()
-    }
-
     /// A shared handle to the grants table (for the controller).
     pub fn share_grants(&self) -> Arc<Mutex<HashMap<NodeId, usize>>> {
         Arc::clone(&self.grants)

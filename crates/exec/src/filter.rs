@@ -2,15 +2,12 @@
 
 use mq_common::{Result, Row};
 use mq_expr::Expr;
-use mq_plan::NodeId;
 
 use crate::context::ExecContext;
 use crate::Operator;
 
 /// Filter: keeps rows whose predicate evaluates to TRUE.
 pub struct FilterExec {
-    #[allow(dead_code)]
-    node: NodeId,
     input: Box<dyn Operator>,
     predicate: Expr,
     ops: u64,
@@ -18,10 +15,9 @@ pub struct FilterExec {
 
 impl FilterExec {
     /// Create a filter.
-    pub fn new(node: NodeId, input: Box<dyn Operator>, predicate: Expr) -> FilterExec {
+    pub fn new(input: Box<dyn Operator>, predicate: Expr) -> FilterExec {
         let ops = predicate.eval_cost_ops();
         FilterExec {
-            node,
             input,
             predicate,
             ops,
@@ -51,16 +47,14 @@ impl Operator for FilterExec {
 
 /// Projection: computes named output expressions.
 pub struct ProjectExec {
-    #[allow(dead_code)]
-    node: NodeId,
     input: Box<dyn Operator>,
     exprs: Vec<(Expr, String)>,
 }
 
 impl ProjectExec {
     /// Create a projection.
-    pub fn new(node: NodeId, input: Box<dyn Operator>, exprs: Vec<(Expr, String)>) -> ProjectExec {
-        ProjectExec { node, input, exprs }
+    pub fn new(input: Box<dyn Operator>, exprs: Vec<(Expr, String)>) -> ProjectExec {
+        ProjectExec { input, exprs }
     }
 }
 
@@ -90,8 +84,6 @@ impl Operator for ProjectExec {
 
 /// Limit: stops after `n` rows.
 pub struct LimitExec {
-    #[allow(dead_code)]
-    node: NodeId,
     input: Box<dyn Operator>,
     n: u64,
     emitted: u64,
@@ -99,9 +91,8 @@ pub struct LimitExec {
 
 impl LimitExec {
     /// Create a limit.
-    pub fn new(node: NodeId, input: Box<dyn Operator>, n: u64) -> LimitExec {
+    pub fn new(input: Box<dyn Operator>, n: u64) -> LimitExec {
         LimitExec {
-            node,
             input,
             n,
             emitted: 0,

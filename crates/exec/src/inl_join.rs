@@ -2,7 +2,6 @@
 
 use mq_common::{IndexId, Result, Row};
 use mq_expr::Expr;
-use mq_plan::{NodeId, ScanSpec};
 
 use crate::context::ExecContext;
 use crate::Operator;
@@ -10,12 +9,8 @@ use crate::Operator;
 /// Indexed nested-loops join operator. The outer side streams; each
 /// outer row probes the inner table's index and fetches matches.
 pub struct IndexNLJoinExec {
-    #[allow(dead_code)]
-    node: NodeId,
     outer: Box<dyn Operator>,
     outer_key: usize,
-    #[allow(dead_code)]
-    inner: ScanSpec,
     index: IndexId,
     index_height: usize,
     residual: Option<Expr>,
@@ -26,20 +21,16 @@ pub struct IndexNLJoinExec {
 impl IndexNLJoinExec {
     /// Create an indexed nested-loops join.
     pub fn new(
-        node: NodeId,
         outer: Box<dyn Operator>,
         outer_key: usize,
-        inner: ScanSpec,
         index: IndexId,
         index_height: usize,
         residual: Option<Expr>,
     ) -> IndexNLJoinExec {
         let residual_ops = residual.as_ref().map(|f| f.eval_cost_ops()).unwrap_or(0);
         IndexNLJoinExec {
-            node,
             outer,
             outer_key,
-            inner,
             index,
             index_height,
             residual,

@@ -51,7 +51,7 @@ pub trait Operator {
 }
 
 /// Instantiate the operator tree for an annotated physical plan.
-/// Every operator is wrapped in a [`Profiled`] shim that records its
+/// Every operator is wrapped in a `Profiled` shim that records its
 /// observed row count (and, under an active event sink, inclusive
 /// cpu/io deltas) into [`ExecContext::actuals`] — the "actual" side of
 /// EXPLAIN ANALYZE.
@@ -61,7 +61,7 @@ pub fn build_executor(plan: &PhysPlan) -> Result<Box<dyn Operator>> {
 
 /// Like [`build_executor`], but any node whose id appears in
 /// `overrides` is replaced by the supplied operator (wrapped in the
-/// same [`Profiled`] shim, so actuals are still recorded against that
+/// same `Profiled` shim, so actuals are still recorded against that
 /// node). The partitioned driver uses this to substitute pre-routed
 /// bucket inputs ([`RowsExec`]) at exchange-child positions while the
 /// rest of the segment builds normally.
@@ -91,34 +91,29 @@ fn build_inner(
     let node = plan.id;
     Ok(match &plan.op {
         PhysOp::SeqScan { spec, filter } => {
-            Box::new(scan::SeqScanExec::new(node, spec.clone(), filter.clone()))
+            Box::new(scan::SeqScanExec::new(spec.clone(), filter.clone()))
         }
         PhysOp::IndexScan {
-            spec,
             index,
             lo,
             hi,
             residual,
             ..
         } => Box::new(scan::IndexScanExec::new(
-            node,
-            spec.clone(),
             *index,
             lo.clone(),
             hi.clone(),
             residual.clone(),
         )),
         PhysOp::Filter { predicate } => Box::new(filter::FilterExec::new(
-            node,
             take_one(&mut children)?,
             predicate.clone(),
         )),
         PhysOp::Project { exprs } => Box::new(filter::ProjectExec::new(
-            node,
             take_one(&mut children)?,
             exprs.clone(),
         )),
-        PhysOp::Limit { n } => Box::new(filter::LimitExec::new(node, take_one(&mut children)?, *n)),
+        PhysOp::Limit { n } => Box::new(filter::LimitExec::new(take_one(&mut children)?, *n)),
         PhysOp::HashJoin {
             build_keys,
             probe_keys,
@@ -135,16 +130,13 @@ fn build_inner(
         }
         PhysOp::IndexNLJoin {
             outer_key,
-            inner,
             index,
             residual,
             index_height,
             ..
         } => Box::new(inl_join::IndexNLJoinExec::new(
-            node,
             take_one(&mut children)?,
             *outer_key,
-            inner.clone(),
             *index,
             *index_height,
             residual.clone(),
@@ -177,9 +169,7 @@ fn build_inner(
         // A cached materialization reads back like any base table: the
         // cache table is catalog-registered with an exact-statistics
         // heap file, so a plain unfiltered sequential scan suffices.
-        PhysOp::CachedScan { spec, .. } => {
-            Box::new(scan::SeqScanExec::new(node, spec.clone(), None))
-        }
+        PhysOp::CachedScan { spec, .. } => Box::new(scan::SeqScanExec::new(spec.clone(), None)),
     })
 }
 

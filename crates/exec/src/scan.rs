@@ -2,7 +2,7 @@
 
 use mq_common::{IndexId, MqError, Result, Rid, Row, Value};
 use mq_expr::Expr;
-use mq_plan::{NodeId, ScanSpec};
+use mq_plan::ScanSpec;
 use mq_storage::RowScan;
 
 use crate::context::ExecContext;
@@ -15,8 +15,6 @@ use crate::Operator;
 /// only for records that pass. Every record is still checked in full,
 /// and charged `1 + filter_ops` CPU ops whether it passes or not.
 pub struct SeqScanExec {
-    #[allow(dead_code)]
-    node: NodeId,
     spec: ScanSpec,
     filter: Option<Expr>,
     /// Restrict the scan to positions `lo..hi` of the file's page list
@@ -32,14 +30,13 @@ pub struct SeqScanExec {
 
 impl SeqScanExec {
     /// Create a sequential scan.
-    pub fn new(node: NodeId, spec: ScanSpec, filter: Option<Expr>) -> SeqScanExec {
+    pub fn new(spec: ScanSpec, filter: Option<Expr>) -> SeqScanExec {
         let filter_ops = filter.as_ref().map(|f| f.eval_cost_ops()).unwrap_or(0);
         let filter_cols = filter
             .as_ref()
             .map(|f| f.bound_column_mask())
             .unwrap_or_default();
         SeqScanExec {
-            node,
             spec,
             filter,
             page_range: None,
@@ -52,13 +49,12 @@ impl SeqScanExec {
 
     /// Create a scan over one contiguous page-chunk of the file.
     pub fn ranged(
-        node: NodeId,
         spec: ScanSpec,
         filter: Option<Expr>,
         page_lo: usize,
         page_hi: usize,
     ) -> SeqScanExec {
-        let mut s = SeqScanExec::new(node, spec, filter);
+        let mut s = SeqScanExec::new(spec, filter);
         s.page_range = Some((page_lo, page_hi));
         s
     }
@@ -106,10 +102,6 @@ impl Operator for SeqScanExec {
 
 /// B+-tree index range scan with unclustered heap fetches.
 pub struct IndexScanExec {
-    #[allow(dead_code)]
-    node: NodeId,
-    #[allow(dead_code)]
-    spec: ScanSpec,
     index: IndexId,
     lo: Option<Value>,
     hi: Option<Value>,
@@ -122,8 +114,6 @@ pub struct IndexScanExec {
 impl IndexScanExec {
     /// Create an index scan over `lo ≤ key ≤ hi`.
     pub fn new(
-        node: NodeId,
-        spec: ScanSpec,
         index: IndexId,
         lo: Option<Value>,
         hi: Option<Value>,
@@ -131,8 +121,6 @@ impl IndexScanExec {
     ) -> IndexScanExec {
         let residual_ops = residual.as_ref().map(|f| f.eval_cost_ops()).unwrap_or(0);
         IndexScanExec {
-            node,
-            spec,
             index,
             lo,
             hi,

@@ -7,7 +7,7 @@ use std::collections::HashMap;
 use mq_catalog::{ColumnStats, TableStats};
 use mq_common::{FileId, Result, Schema};
 use mq_plan::PhysPlan;
-use mq_stats::{ColumnAccumulator, HistogramKind};
+use mq_stats::{ColumnAccumulator, HistogramKind, HISTOGRAM_BUCKETS, RESERVOIR_SIZE};
 
 use crate::build_executor;
 use crate::context::ExecContext;
@@ -51,7 +51,7 @@ pub fn materialize(plan: &PhysPlan, ctx: &ExecContext) -> Result<MaterializedRes
     // fails mid-drain, the unwind path reclaims the partial file.
     let file = ctx.create_temp_file();
     let mut accs: Vec<ColumnAccumulator> = (0..schema.len())
-        .map(|i| ColumnAccumulator::new(ctx.cfg.reservoir_size, 0xFEED ^ i as u64))
+        .map(|i| ColumnAccumulator::new(RESERVOIR_SIZE, 0xFEED ^ i as u64))
         .collect();
     let mut rows = 0u64;
     let mut bytes = 0u64;
@@ -75,7 +75,7 @@ pub fn materialize(plan: &PhysPlan, ctx: &ExecContext) -> Result<MaterializedRes
 
     let mut columns = HashMap::new();
     for (i, acc) in accs.iter().enumerate() {
-        let obs = acc.finish(HistogramKind::MaxDiff, ctx.cfg.histogram_buckets);
+        let obs = acc.finish(HistogramKind::MaxDiff, HISTOGRAM_BUCKETS);
         columns.insert(
             schema.field(i).name.to_string(),
             ColumnStats {

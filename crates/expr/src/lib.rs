@@ -18,7 +18,10 @@ use std::sync::Arc;
 
 use mq_common::{MqError, Result, Row, Schema, Value};
 
-pub use selectivity::{estimate_selectivity, Basis, NoStats, SelEstimate, StatsView};
+pub use selectivity::{
+    estimate_selectivity, Basis, NoStats, SelEstimate, StatsView, DEFAULT_EQ_SELECTIVITY,
+    DEFAULT_RANGE_SELECTIVITY, UDF_SELECTIVITY,
+};
 
 /// Comparison operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

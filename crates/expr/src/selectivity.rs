@@ -14,7 +14,7 @@
 //! `mq-reopt`) maps bases to the paper's inaccuracy-potential levels.
 
 use mq_catalog::ColumnStats;
-use mq_common::{EngineConfig, Value};
+use mq_common::Value;
 use mq_stats::HistogramKind;
 
 use crate::{CmpOp, Expr};
@@ -89,9 +89,17 @@ impl SelEstimate {
     }
 }
 
+/// Default selectivity guess for predicates the optimizer cannot
+/// estimate (user-defined functions; §2.5 "always high" inaccuracy).
+pub const UDF_SELECTIVITY: f64 = 0.1;
+/// Default equality selectivity when no statistics exist.
+pub const DEFAULT_EQ_SELECTIVITY: f64 = 0.005;
+/// Default range selectivity when no statistics exist.
+pub const DEFAULT_RANGE_SELECTIVITY: f64 = 0.3;
+
 /// Estimate the selectivity of `expr` against `stats`.
-pub fn estimate_selectivity(expr: &Expr, stats: &dyn StatsView, cfg: &EngineConfig) -> SelEstimate {
-    let mut est = estimate_inner(expr, stats, cfg);
+pub fn estimate_selectivity(expr: &Expr, stats: &dyn StatsView) -> SelEstimate {
+    let mut est = estimate_inner(expr, stats);
     let mut cols: Vec<std::sync::Arc<str>> = expr.referenced_columns();
     cols.sort();
     cols.dedup();
@@ -99,13 +107,13 @@ pub fn estimate_selectivity(expr: &Expr, stats: &dyn StatsView, cfg: &EngineConf
     est
 }
 
-fn estimate_inner(expr: &Expr, stats: &dyn StatsView, cfg: &EngineConfig) -> SelEstimate {
+fn estimate_inner(expr: &Expr, stats: &dyn StatsView) -> SelEstimate {
     match expr {
         Expr::And(es) => {
             let mut sel = 1.0;
             let mut basis = Basis::SerialHistogram;
             for e in es {
-                let part = estimate_inner(e, stats, cfg);
+                let part = estimate_inner(e, stats);
                 sel *= part.selectivity;
                 basis = basis.weaker(part.basis);
             }
@@ -115,32 +123,26 @@ fn estimate_inner(expr: &Expr, stats: &dyn StatsView, cfg: &EngineConfig) -> Sel
             let mut keep_none = 1.0;
             let mut basis = Basis::SerialHistogram;
             for e in es {
-                let part = estimate_inner(e, stats, cfg);
+                let part = estimate_inner(e, stats);
                 keep_none *= 1.0 - part.selectivity;
                 basis = basis.weaker(part.basis);
             }
             SelEstimate::new(1.0 - keep_none, basis)
         }
         Expr::Not(e) => {
-            let part = estimate_inner(e, stats, cfg);
+            let part = estimate_inner(e, stats);
             SelEstimate::new(1.0 - part.selectivity, part.basis)
         }
-        Expr::UdfPred { .. } => SelEstimate::new(cfg.udf_selectivity, Basis::Udf),
-        Expr::Cmp { op, left, right } => estimate_cmp(*op, left, right, stats, cfg),
+        Expr::UdfPred { .. } => SelEstimate::new(UDF_SELECTIVITY, Basis::Udf),
+        Expr::Cmp { op, left, right } => estimate_cmp(*op, left, right, stats),
         Expr::Literal(Value::Bool(b)) => {
             SelEstimate::new(if *b { 1.0 } else { 0.0 }, Basis::SerialHistogram)
         }
-        _ => SelEstimate::new(cfg.default_range_selectivity, Basis::DefaultGuess),
+        _ => SelEstimate::new(DEFAULT_RANGE_SELECTIVITY, Basis::DefaultGuess),
     }
 }
 
-fn estimate_cmp(
-    op: CmpOp,
-    left: &Expr,
-    right: &Expr,
-    stats: &dyn StatsView,
-    cfg: &EngineConfig,
-) -> SelEstimate {
+fn estimate_cmp(op: CmpOp, left: &Expr, right: &Expr, stats: &dyn StatsView) -> SelEstimate {
     // Normalize to column-op-literal when possible.
     match (
         column_name(left),
@@ -148,8 +150,8 @@ fn estimate_cmp(
         column_name(right),
         literal_value(left),
     ) {
-        (Some(colname), Some(v), _, _) => estimate_col_lit(op, colname, v, stats, cfg),
-        (_, _, Some(colname), Some(v)) => estimate_col_lit(op.flip(), colname, v, stats, cfg),
+        (Some(colname), Some(v), _, _) => estimate_col_lit(op, colname, v, stats),
+        (_, _, Some(colname), Some(v)) => estimate_col_lit(op.flip(), colname, v, stats),
         _ => {
             // Column-to-column within one relation (rare in the
             // workload; joins are handled by the optimizer directly).
@@ -168,27 +170,21 @@ fn estimate_cmp(
                         if d > 1.0 {
                             1.0 / d
                         } else {
-                            cfg.default_eq_selectivity
+                            DEFAULT_EQ_SELECTIVITY
                         }
                     }
-                    CmpOp::Ne => 1.0 - cfg.default_eq_selectivity,
-                    _ => cfg.default_range_selectivity,
+                    CmpOp::Ne => 1.0 - DEFAULT_EQ_SELECTIVITY,
+                    _ => DEFAULT_RANGE_SELECTIVITY,
                 };
                 SelEstimate::new(sel, Basis::ColumnColumn)
             } else {
-                SelEstimate::new(cfg.default_range_selectivity, Basis::DefaultGuess)
+                SelEstimate::new(DEFAULT_RANGE_SELECTIVITY, Basis::DefaultGuess)
             }
         }
     }
 }
 
-fn estimate_col_lit(
-    op: CmpOp,
-    colname: &str,
-    v: &Value,
-    stats: &dyn StatsView,
-    cfg: &EngineConfig,
-) -> SelEstimate {
+fn estimate_col_lit(op: CmpOp, colname: &str, v: &Value, stats: &dyn StatsView) -> SelEstimate {
     let col = stats.column(colname);
     let rank = v.as_f64();
     match op {
@@ -206,10 +202,10 @@ fn estimate_col_lit(
                     return SelEstimate::new((1.0 - c.null_frac) / c.distinct, Basis::DistinctOnly);
                 }
             }
-            SelEstimate::new(cfg.default_eq_selectivity, Basis::DefaultGuess)
+            SelEstimate::new(DEFAULT_EQ_SELECTIVITY, Basis::DefaultGuess)
         }
         CmpOp::Ne => {
-            let eq = estimate_col_lit(CmpOp::Eq, colname, v, stats, cfg);
+            let eq = estimate_col_lit(CmpOp::Eq, colname, v, stats);
             SelEstimate::new(1.0 - eq.selectivity, eq.basis)
         }
         CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge => {
@@ -235,7 +231,7 @@ fn estimate_col_lit(
                     }
                 }
             }
-            SelEstimate::new(cfg.default_range_selectivity, Basis::DefaultGuess)
+            SelEstimate::new(DEFAULT_RANGE_SELECTIVITY, Basis::DefaultGuess)
         }
     }
 }
@@ -316,10 +312,9 @@ mod tests {
 
     #[test]
     fn equality_with_histogram() {
-        let cfg = EngineConfig::default();
         let st = uniform_stats(HistogramKind::MaxDiff);
         let e = eq(col("t.a"), lit(7i64));
-        let est = estimate_selectivity(&e, &st, &cfg);
+        let est = estimate_selectivity(&e, &st);
         assert!((est.selectivity - 0.01).abs() < 0.01, "{}", est.selectivity);
         assert_eq!(est.basis, Basis::BucketHistogram);
         assert!(!est.multi_column);
@@ -327,52 +322,47 @@ mod tests {
 
     #[test]
     fn serial_histogram_basis() {
-        let cfg = EngineConfig::default();
         let st = uniform_stats(HistogramKind::EndBiased);
-        let est = estimate_selectivity(&eq(col("a"), lit(7i64)), &st, &cfg);
+        let est = estimate_selectivity(&eq(col("a"), lit(7i64)), &st);
         assert_eq!(est.basis, Basis::SerialHistogram);
     }
 
     #[test]
     fn range_with_histogram() {
-        let cfg = EngineConfig::default();
         let st = uniform_stats(HistogramKind::EquiDepth);
         let e = cmp(CmpOp::Le, col("a"), lit(24i64));
-        let est = estimate_selectivity(&e, &st, &cfg);
+        let est = estimate_selectivity(&e, &st);
         assert!((est.selectivity - 0.25).abs() < 0.08, "{}", est.selectivity);
     }
 
     #[test]
     fn range_falls_back_to_bounds() {
-        let cfg = EngineConfig::default();
         let st = uniform_stats(HistogramKind::MaxDiff);
         let e = cmp(CmpOp::Lt, col("b"), lit(500i64));
-        let est = estimate_selectivity(&e, &st, &cfg);
+        let est = estimate_selectivity(&e, &st);
         assert!((est.selectivity - 0.5).abs() < 0.01);
         assert_eq!(est.basis, Basis::Bounds);
     }
 
     #[test]
     fn eq_falls_back_to_distinct_then_default() {
-        let cfg = EngineConfig::default();
         let st = uniform_stats(HistogramKind::MaxDiff);
-        let est = estimate_selectivity(&eq(col("b"), lit(3i64)), &st, &cfg);
+        let est = estimate_selectivity(&eq(col("b"), lit(3i64)), &st);
         assert!((est.selectivity - 0.001).abs() < 1e-9);
         assert_eq!(est.basis, Basis::DistinctOnly);
-        let est = estimate_selectivity(&eq(col("zzz"), lit(3i64)), &st, &cfg);
+        let est = estimate_selectivity(&eq(col("zzz"), lit(3i64)), &st);
         assert_eq!(est.basis, Basis::DefaultGuess);
-        assert!((est.selectivity - cfg.default_eq_selectivity).abs() < 1e-12);
+        assert!((est.selectivity - DEFAULT_EQ_SELECTIVITY).abs() < 1e-12);
     }
 
     #[test]
     fn conjunction_multiplies_and_flags_multi_column() {
-        let cfg = EngineConfig::default();
         let st = uniform_stats(HistogramKind::MaxDiff);
         let e = and(vec![
             cmp(CmpOp::Le, col("a"), lit(49i64)),
             cmp(CmpOp::Le, col("b"), lit(499i64)),
         ]);
-        let est = estimate_selectivity(&e, &st, &cfg);
+        let est = estimate_selectivity(&e, &st);
         assert!((est.selectivity - 0.25).abs() < 0.05, "{}", est.selectivity);
         assert!(est.multi_column);
         assert_eq!(est.basis, Basis::Bounds, "weakest basis wins");
@@ -380,7 +370,6 @@ mod tests {
 
     #[test]
     fn udf_is_blind_guess() {
-        let cfg = EngineConfig::default();
         let st = uniform_stats(HistogramKind::MaxDiff);
         let e = Expr::UdfPred {
             name: "f".into(),
@@ -390,17 +379,16 @@ mod tests {
                 salt: 0,
             },
         };
-        let est = estimate_selectivity(&e, &st, &cfg);
+        let est = estimate_selectivity(&e, &st);
         assert_eq!(est.basis, Basis::Udf);
-        assert!((est.selectivity - cfg.udf_selectivity).abs() < 1e-12);
+        assert!((est.selectivity - UDF_SELECTIVITY).abs() < 1e-12);
     }
 
     #[test]
     fn between_is_product_of_halves() {
-        let cfg = EngineConfig::default();
         let st = uniform_stats(HistogramKind::EquiDepth);
         let e = between(col("a"), 25i64, 74i64);
-        let est = estimate_selectivity(&e, &st, &cfg);
+        let est = estimate_selectivity(&e, &st);
         // ≥25 (0.75) × ≤74 (0.75) ≈ 0.56 under independence — the known
         // over/under-estimation of conjunctive ranges.
         assert!(
@@ -412,21 +400,19 @@ mod tests {
 
     #[test]
     fn flipped_literal_side() {
-        let cfg = EngineConfig::default();
         let st = uniform_stats(HistogramKind::EquiDepth);
         let e = cmp(CmpOp::Ge, lit(24i64), col("a")); // 24 >= a ⇔ a <= 24
-        let est = estimate_selectivity(&e, &st, &cfg);
+        let est = estimate_selectivity(&e, &st);
         assert!((est.selectivity - 0.25).abs() < 0.08, "{}", est.selectivity);
     }
 
     #[test]
     fn not_and_or() {
-        let cfg = EngineConfig::default();
         let st = uniform_stats(HistogramKind::EquiDepth);
         let half = cmp(CmpOp::Lt, col("a"), lit(50i64));
-        let est = estimate_selectivity(&Expr::Not(Box::new(half.clone())), &st, &cfg);
+        let est = estimate_selectivity(&Expr::Not(Box::new(half.clone())), &st);
         assert!((est.selectivity - 0.5).abs() < 0.05);
-        let est = estimate_selectivity(&Expr::Or(vec![half.clone(), half]), &st, &cfg);
+        let est = estimate_selectivity(&Expr::Or(vec![half.clone(), half]), &st);
         assert!((est.selectivity - 0.75).abs() < 0.05);
     }
 }

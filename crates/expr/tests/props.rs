@@ -1,6 +1,6 @@
 //! Expression evaluation and selectivity properties.
 
-use mq_common::{DataType, EngineConfig, Field, Row, Schema, Value};
+use mq_common::{DataType, Field, Row, Schema, Value};
 use mq_expr::{and, cmp, estimate_selectivity, lit, CmpOp, Expr, NoStats};
 use proptest::prelude::*;
 
@@ -83,8 +83,7 @@ proptest! {
     /// Selectivity is always a probability, even with no statistics.
     #[test]
     fn selectivity_bounded(p in arb_pred()) {
-        let cfg = EngineConfig::default();
-        let est = estimate_selectivity(&p, &NoStats, &cfg);
+        let est = estimate_selectivity(&p, &NoStats);
         prop_assert!((0.0..=1.0).contains(&est.selectivity), "{}", est.selectivity);
     }
 
@@ -92,9 +91,8 @@ proptest! {
     /// parts.
     #[test]
     fn conjunction_shrinks(p in arb_pred(), q in arb_pred()) {
-        let cfg = EngineConfig::default();
-        let sp = estimate_selectivity(&p, &NoStats, &cfg).selectivity;
-        let spq = estimate_selectivity(&and(vec![p, q]), &NoStats, &cfg).selectivity;
+        let sp = estimate_selectivity(&p, &NoStats).selectivity;
+        let spq = estimate_selectivity(&and(vec![p, q]), &NoStats).selectivity;
         prop_assert!(spq <= sp + 1e-9);
     }
 

@@ -122,15 +122,6 @@ impl MetricsRegistry {
         });
     }
 
-    /// Set a gauge to `value`.
-    pub fn gauge_set(&self, name: &str, labels: &[(&str, &str)], stability: Stability, value: f64) {
-        self.with_entry(name, labels, stability, Value::Gauge(value), |v| {
-            if let Value::Gauge(g) = v {
-                *g = value;
-            }
-        });
-    }
-
     /// Raise a gauge to `value` if it is higher (high-water marks).
     pub fn gauge_max(&self, name: &str, labels: &[(&str, &str)], stability: Stability, value: f64) {
         self.with_entry(name, labels, stability, Value::Gauge(value), |v| {

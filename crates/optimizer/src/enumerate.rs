@@ -147,7 +147,7 @@ pub fn decompose(
         let live_pages = storage.file_pages(entry.file)? as u64;
         let raw_props = RelProps::from_table(&entry, live_rows, live_pages, cfg);
         let props = match &local {
-            Some(p) => raw_props.filtered(p, cfg).0,
+            Some(p) => raw_props.filtered(p).0,
             None => raw_props.clone(),
         };
         relations.push(BaseRel {
@@ -336,7 +336,7 @@ fn consult_feedback(
 /// Enumerate left-deep join orders over the query graph and return the
 /// cheapest plan under the cost model (optimistic full-budget memory).
 /// With `feedback`, every candidate sub-plan's cardinality is checked
-/// against previously observed truths (see [`consult_feedback`]).
+/// against previously observed truths through [`CardFeedback`].
 pub fn enumerate(
     graph: &QueryGraph,
     storage: &Storage,
@@ -520,7 +520,7 @@ fn best_access_path(
             work += 1;
             // Rows matched by the index predicate alone (drives I/O).
             let idx_pred = mq_expr::and(index_sel_pred.clone());
-            let idx_sel = estimate_selectivity(&idx_pred, &rel.raw_props, cfg).selectivity;
+            let idx_sel = estimate_selectivity(&idx_pred, &rel.raw_props).selectivity;
             let match_rows = rel.raw_props.rows * idx_sel;
             let residual_expr = if residual.is_empty() {
                 None
@@ -630,7 +630,7 @@ fn join_candidates(
     let mut out = Vec::new();
     let (right_plan, _) = best_access_path(rel, storage, cfg)?;
     let on: Vec<(String, String)> = pairs.to_vec();
-    let (props, _sel) = left.props.joined(&rel.props, &on, cfg);
+    let (props, _sel) = left.props.joined(&rel.props, &on);
 
     // Hash join, build = left (the accumulated side). Paradise-style:
     // the intermediate result feeds the *build* of the next join, so

@@ -114,7 +114,7 @@ impl Optimizer {
         if !graph.residual.is_empty() {
             let pred = mq_expr::and(graph.residual.clone());
             let bound = pred.bind(&plan.schema)?;
-            let (new_props, _est) = props.filtered(&pred, cfg);
+            let (new_props, _est) = props.filtered(&pred);
             let schema = plan.schema.clone();
             let mut node = PhysPlan::new(PhysOp::Filter { predicate: bound }, vec![plan], schema);
             node.annot.est_rows = new_props.rows;
@@ -292,7 +292,7 @@ fn derive_props(
             .unwrap_or(spec.pages as usize) as u64;
         let raw = RelProps::from_table(&entry, live_rows, live_pages, cfg);
         Ok(match filter {
-            Some(f) => raw.filtered(f, cfg).0,
+            Some(f) => raw.filtered(f).0,
             None => raw,
         })
     }
@@ -345,7 +345,7 @@ fn derive_props(
             };
             scan_props(spec, pred.as_ref(), catalog, storage, cfg)?
         }
-        PhysOp::Filter { predicate } => child_props[0].filtered(predicate, cfg).0,
+        PhysOp::Filter { predicate } => child_props[0].filtered(predicate).0,
         PhysOp::Project { .. } => {
             let mut p = child_props[0].clone();
             p.schema = plan.schema.clone();
@@ -366,7 +366,7 @@ fn derive_props(
                     )
                 })
                 .collect();
-            child_props[0].joined(&child_props[1], &on, cfg).0
+            child_props[0].joined(&child_props[1], &on).0
         }
         PhysOp::IndexNLJoin {
             outer_key,
@@ -379,7 +379,7 @@ fn derive_props(
                 plan.children[0].schema.field(*outer_key).qualified_name(),
                 format!("{}.{}", inner.table, inner_column),
             )];
-            child_props[0].joined(&inner_props, &on, cfg).0
+            child_props[0].joined(&inner_props, &on).0
         }
         PhysOp::Sort { .. } | PhysOp::StatsCollector { .. } | PhysOp::Exchange { .. } => {
             child_props[0].clone()

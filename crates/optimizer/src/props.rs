@@ -13,7 +13,7 @@ use mq_catalog::{ColumnStats, TableEntry};
 #[cfg(test)]
 use mq_common::Value;
 use mq_common::{EngineConfig, Schema};
-use mq_expr::{estimate_selectivity, Basis, Expr, SelEstimate, StatsView};
+use mq_expr::{estimate_selectivity, Basis, Expr, SelEstimate, StatsView, DEFAULT_EQ_SELECTIVITY};
 
 /// Statistics of a (possibly intermediate) relation.
 #[derive(Debug, Clone)]
@@ -116,8 +116,8 @@ impl RelProps {
 
     /// Apply a filter predicate: scales cardinality, caps distinct
     /// counts, weakens the basis.
-    pub fn filtered(&self, predicate: &Expr, cfg: &EngineConfig) -> (RelProps, SelEstimate) {
-        let est = estimate_selectivity(predicate, self, cfg);
+    pub fn filtered(&self, predicate: &Expr) -> (RelProps, SelEstimate) {
+        let est = estimate_selectivity(predicate, self);
         // Never estimate zero from a non-empty input: downstream cost
         // ratios and the re-optimization decision divide by estimates.
         let floor = if self.rows >= 1.0 { 1.0 } else { 0.0 };
@@ -160,12 +160,7 @@ impl RelProps {
 
     /// Join with another relation on equi-pairs of qualified columns.
     /// Returns the joined properties and the estimated join selectivity.
-    pub fn joined(
-        &self,
-        other: &RelProps,
-        on: &[(String, String)],
-        cfg: &EngineConfig,
-    ) -> (RelProps, f64) {
+    pub fn joined(&self, other: &RelProps, on: &[(String, String)]) -> (RelProps, f64) {
         let mut sel = 1.0;
         let mut basis = self.basis.max(other.basis);
         for (lc, rc) in on {
@@ -183,13 +178,13 @@ impl RelProps {
                             1.0 / d
                         } else {
                             basis = basis.max(Basis::DefaultGuess);
-                            cfg.default_eq_selectivity
+                            DEFAULT_EQ_SELECTIVITY
                         }
                     }
                 },
                 _ => {
                     basis = basis.max(Basis::DefaultGuess);
-                    cfg.default_eq_selectivity
+                    DEFAULT_EQ_SELECTIVITY
                 }
             };
             sel *= pair_sel;
@@ -318,29 +313,26 @@ mod tests {
 
     #[test]
     fn filter_scales_rows() {
-        let cfg = EngineConfig::default();
         let p = props_with("r", 10_000.0, 100.0);
-        let (f, est) = p.filtered(&cmp(CmpOp::Lt, col("r.k"), lit(25i64)), &cfg);
+        let (f, est) = p.filtered(&cmp(CmpOp::Lt, col("r.k"), lit(25i64)));
         assert!((est.selectivity - 0.25).abs() < 0.1);
         assert!((f.rows - 2500.0).abs() < 1000.0, "rows {}", f.rows);
     }
 
     #[test]
     fn eq_filter_pins_distinct() {
-        let cfg = EngineConfig::default();
         let p = props_with("r", 10_000.0, 100.0);
-        let (f, _) = p.filtered(&mq_expr::eq(col("r.k"), lit(5i64)), &cfg);
+        let (f, _) = p.filtered(&mq_expr::eq(col("r.k"), lit(5i64)));
         assert_eq!(f.columns["r.k"].distinct, 1.0);
     }
 
     #[test]
     fn join_key_fk_cardinality() {
-        let cfg = EngineConfig::default();
         // r: 100 rows pk 0..99; s: 10000 rows fk 0..99.
         let r = props_with("r", 1000.0, 100.0);
         let s = props_with("s", 10_000.0, 100.0);
         let on = vec![("r.k".to_string(), "s.k".to_string())];
-        let (j, sel) = r.joined(&s, &on, &cfg);
+        let (j, sel) = r.joined(&s, &on);
         assert!((sel - 0.01).abs() < 0.005, "sel {sel}");
         // ≈ 1000 × 10000 / 100 = 100k rows.
         assert!(

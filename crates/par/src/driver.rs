@@ -32,7 +32,7 @@ use mq_obs::ObsEvent;
 use mq_plan::{ExchangeMode, NodeId, PhysOp, PhysPlan};
 
 use crate::rewrite::chunkable;
-use crate::{ExchangeReport, ParReport, ParSpec, SkewReport};
+use crate::{ExchangeReport, ParReport, ParSpec, SkewReport, PAR_BUCKETS};
 
 /// Routing salt for exchange repartitioning. Distinct from the
 /// hash-join family of level salts (0, 1, 2, …): rows inside one
@@ -57,7 +57,7 @@ pub fn run_partitioned(
     cfg: &EngineConfig,
 ) -> Result<(Vec<Row>, ParReport)> {
     let p = spec.partitions.max(1);
-    let b = cfg.par_buckets.max(1);
+    let b = PAR_BUCKETS;
     let mut driver = Driver {
         ctx,
         cfg,
@@ -366,10 +366,7 @@ impl<'a> Driver<'a> {
             _ => unreachable!("chunkable returns a SeqScan"),
         };
         let mut overrides = Overrides::new();
-        overrides.insert(
-            scan.id,
-            Box::new(SeqScanExec::ranged(scan.id, spec, filter, lo, hi)),
-        );
+        overrides.insert(scan.id, Box::new(SeqScanExec::ranged(spec, filter, lo, hi)));
         self.run_unit(child, overrides, capture)
     }
 
@@ -503,7 +500,7 @@ impl<'a> Driver<'a> {
             }
         }
         for node in order {
-            let stats = merged[&node].finish(self.cfg);
+            let stats = merged[&node].finish();
             self.ctx.notify_collector(stats)?;
         }
         Ok(())

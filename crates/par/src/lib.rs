@@ -6,10 +6,9 @@
 //!
 //! The design separates two concepts:
 //!
-//! * **Buckets** — a fixed number `B` ([`mq_common::EngineConfig::
-//!   par_buckets`]) of logical work units. Rows are routed to bucket
-//!   `hash(keys) % B`; pipeline segments between exchanges execute once
-//!   per bucket, in bucket order, each bucket with the operator's full
+//! * **Buckets** — a fixed number `B` ([`PAR_BUCKETS`]) of logical
+//!   work units. Rows are routed to bucket `hash(keys) % B`; pipeline
+//!   segments between exchanges execute once per bucket, in bucket order, each bucket with the operator's full
 //!   serial memory grant (buckets are time-multiplexed on the job
 //!   thread, so only one bucket's hash table is resident at a time —
 //!   spill behaviour is therefore independent of the partition count).
@@ -52,6 +51,18 @@ use mq_plan::NodeId;
 
 pub use driver::run_partitioned;
 pub use rewrite::parallelize;
+
+/// Number of logical hash buckets used by partitioned (exchange)
+/// execution. Buckets — not partitions — are the unit of routing and
+/// of per-bucket pipeline runs, so results are byte-identical for any
+/// partition count; partitions only group buckets for the
+/// max-over-partitions elapsed-time accounting.
+pub const PAR_BUCKETS: usize = 64;
+
+/// Broadcast threshold: a hash-join build side whose estimated
+/// cardinality is at or below this is broadcast (replicated to every
+/// partition) instead of hash-repartitioned.
+pub const PAR_BROADCAST_ROWS: f64 = 64.0;
 
 /// How a query should be partitioned. Carried by the job environment;
 /// `None` means serial execution (no exchanges, the pre-existing

@@ -4,7 +4,7 @@
 //! Rules (bottom-up; "partitioned" = the node's output is bucketed):
 //!
 //! * `HashJoin` — when the build side is estimated at or under
-//!   `par_broadcast_rows`, the build child is wrapped in a `Broadcast`
+//!   [`PAR_BROADCAST_ROWS`], the build child is wrapped in a `Broadcast`
 //!   (merged first if it was partitioned) and the probe child is left
 //!   as-is when already partitioned (no co-partitioning requirement
 //!   under a broadcast) or wrapped in a `Repartition` on the probe keys
@@ -29,15 +29,15 @@
 //! metrics can be compared byte-for-byte across partition counts over
 //! the identical plan shape.
 
-use mq_common::{EngineConfig, Result};
+use mq_common::Result;
 use mq_plan::{ExchangeMode, PhysOp, PhysPlan};
 
-use crate::ParSpec;
+use crate::{ParSpec, PAR_BROADCAST_ROWS};
 
 /// Insert exchange operators (see module docs), then re-assign node
 /// ids. Runs after collector insertion and before memory allocation.
-pub fn parallelize(plan: &mut PhysPlan, spec: &ParSpec, cfg: &EngineConfig) -> Result<()> {
-    let (mut rewritten, partitioned) = rewrite(plan.clone(), spec, cfg);
+pub fn parallelize(plan: &mut PhysPlan, spec: &ParSpec) -> Result<()> {
+    let (mut rewritten, partitioned) = rewrite(plan.clone(), spec);
     if partitioned {
         rewritten = wrap(rewritten, ExchangeMode::Merge, spec.partitions);
     }
@@ -57,7 +57,7 @@ fn wrap(child: PhysPlan, mode: ExchangeMode, partitions: usize) -> PhysPlan {
     ex
 }
 
-fn rewrite(mut plan: PhysPlan, spec: &ParSpec, cfg: &EngineConfig) -> (PhysPlan, bool) {
+fn rewrite(mut plan: PhysPlan, spec: &ParSpec) -> (PhysPlan, bool) {
     let p = spec.partitions;
     match &plan.op {
         PhysOp::HashJoin {
@@ -70,9 +70,9 @@ fn rewrite(mut plan: PhysPlan, spec: &ParSpec, cfg: &EngineConfig) -> (PhysPlan,
             let build = ch.next().expect("hash join build child");
             let probe = ch.next().expect("hash join probe child");
             drop(ch);
-            let (build, build_part) = rewrite(build, spec, cfg);
-            let (probe, probe_part) = rewrite(probe, spec, cfg);
-            if build.annot.est_rows <= cfg.par_broadcast_rows {
+            let (build, build_part) = rewrite(build, spec);
+            let (probe, probe_part) = rewrite(probe, spec);
+            if build.annot.est_rows <= PAR_BROADCAST_ROWS {
                 // Tiny build: replicate it, keep the probe partitioning.
                 let build = if build_part {
                     wrap(build, ExchangeMode::Merge, p)
@@ -97,7 +97,7 @@ fn rewrite(mut plan: PhysPlan, spec: &ParSpec, cfg: &EngineConfig) -> (PhysPlan,
         PhysOp::HashAggregate { group, .. } if !group.is_empty() => {
             let keys = group.clone();
             let child = plan.children.pop().expect("aggregate child");
-            let (child, _) = rewrite(child, spec, cfg);
+            let (child, _) = rewrite(child, spec);
             plan.children = vec![wrap(child, ExchangeMode::Repartition { keys }, p)];
             (plan, true)
         }
@@ -106,7 +106,7 @@ fn rewrite(mut plan: PhysPlan, spec: &ParSpec, cfg: &EngineConfig) -> (PhysPlan,
         // it as parallel scan chunks.
         PhysOp::HashAggregate { .. } | PhysOp::Sort { .. } | PhysOp::Limit { .. } => {
             let child = plan.children.pop().expect("unary child");
-            let (child, part) = rewrite(child, spec, cfg);
+            let (child, part) = rewrite(child, spec);
             let child = if part || chunkable(&child).is_some() {
                 wrap(child, ExchangeMode::Merge, p)
             } else {
@@ -117,7 +117,7 @@ fn rewrite(mut plan: PhysPlan, spec: &ParSpec, cfg: &EngineConfig) -> (PhysPlan,
         }
         PhysOp::IndexNLJoin { .. } => {
             let outer = plan.children.pop().expect("inl outer child");
-            let (outer, part) = rewrite(outer, spec, cfg);
+            let (outer, part) = rewrite(outer, spec);
             let outer = if part {
                 wrap(outer, ExchangeMode::Merge, p)
             } else {
@@ -129,7 +129,7 @@ fn rewrite(mut plan: PhysPlan, spec: &ParSpec, cfg: &EngineConfig) -> (PhysPlan,
         // Streaming unaries are transparent: exchanges go above them.
         PhysOp::Filter { .. } | PhysOp::Project { .. } | PhysOp::StatsCollector { .. } => {
             let child = plan.children.pop().expect("unary child");
-            let (child, part) = rewrite(child, spec, cfg);
+            let (child, part) = rewrite(child, spec);
             plan.children = vec![child];
             (plan, part)
         }
@@ -189,10 +189,6 @@ mod tests {
     use mq_common::{DataType, Field, FileId, Schema};
     use mq_plan::ScanSpec;
 
-    fn cfg() -> EngineConfig {
-        EngineConfig::default()
-    }
-
     fn scan(name: &str, rows: u64) -> PhysPlan {
         let mut p = PhysPlan::new(
             PhysOp::SeqScan {
@@ -241,7 +237,7 @@ mod tests {
     fn large_join_gets_repartitions_and_root_merge() {
         let mut plan = join(scan("a", 10_000), scan("b", 10_000));
         plan.assign_ids();
-        parallelize(&mut plan, &ParSpec::new(4), &cfg()).unwrap();
+        parallelize(&mut plan, &ParSpec::new(4)).unwrap();
         let (rep, mer, bro) = count_exchanges(&plan);
         assert_eq!((rep, mer, bro), (2, 1, 0), "{plan}");
         // Root is the final merge.
@@ -258,7 +254,7 @@ mod tests {
     fn tiny_build_is_broadcast() {
         let mut plan = join(scan("a", 10), scan("b", 10_000));
         plan.assign_ids();
-        parallelize(&mut plan, &ParSpec::new(4), &cfg()).unwrap();
+        parallelize(&mut plan, &ParSpec::new(4)).unwrap();
         let (rep, mer, bro) = count_exchanges(&plan);
         assert_eq!((rep, mer, bro), (1, 1, 1), "{plan}");
     }
@@ -276,7 +272,7 @@ mod tests {
             schema,
         );
         plan.assign_ids();
-        parallelize(&mut plan, &ParSpec::new(2), &cfg()).unwrap();
+        parallelize(&mut plan, &ParSpec::new(2)).unwrap();
         let (rep, mer, _) = count_exchanges(&plan);
         assert_eq!((rep, mer), (1, 1), "{plan}");
         // The repartition routes on the group column.
@@ -307,7 +303,7 @@ mod tests {
             schema,
         );
         plan.assign_ids();
-        parallelize(&mut plan, &ParSpec::new(4), &cfg()).unwrap();
+        parallelize(&mut plan, &ParSpec::new(4)).unwrap();
         let (rep, mer, bro) = count_exchanges(&plan);
         assert_eq!((rep, mer, bro), (0, 1, 0), "{plan}");
         // The merge sits below the aggregate, not above it (the scalar
@@ -327,7 +323,7 @@ mod tests {
     fn exchanges_inserted_even_for_one_partition() {
         let mut plan = join(scan("a", 10_000), scan("b", 10_000));
         plan.assign_ids();
-        parallelize(&mut plan, &ParSpec::new(1), &cfg()).unwrap();
+        parallelize(&mut plan, &ParSpec::new(1)).unwrap();
         let (rep, mer, _) = count_exchanges(&plan);
         assert_eq!((rep, mer), (2, 1));
     }

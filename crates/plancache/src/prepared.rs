@@ -73,11 +73,6 @@ impl PreparedSql {
         &self.norm.key
     }
 
-    /// The template SQL, canonically rendered.
-    pub fn template_sql(&self) -> String {
-        render(&self.tokens)
-    }
-
     /// Splice `params` (in textual order) into the template. Refuses
     /// arity mismatches and type drift — an Int may stand in for a
     /// Float exemplar (promoted), but a Str can never replace a Date:

@@ -47,6 +47,16 @@ mod workload;
 pub use report::{JobResult, WorkloadReport};
 pub use workload::{QuerySpec, Workload, WorkloadQuery};
 
+/// Maximum recovery attempts the runtime makes after an injected crash
+/// (simulated process kill) before reporting the query as failed.
+pub const RECOVERY_ATTEMPT_LIMIT: u32 = 3;
+
+/// Simulated-clock backoff before the first recovery attempt, in
+/// milliseconds; doubles on each further attempt. It models a process
+/// restart, not an I/O hiccup, hence larger than the engine's
+/// segment-retry backoff.
+pub const RECOVERY_BACKOFF_MS: f64 = 50.0;
+
 /// The minimum admission demand: the smallest budget
 /// [`mq_common::EngineConfig::validate`] accepts (4 pages), so an
 /// admitted query can always run, if slowly.
@@ -74,11 +84,6 @@ impl Runtime {
     pub fn with_default_budget(engine: Arc<Engine>, workers: usize) -> Runtime {
         let budget = workers.max(1) * engine.config().query_memory_bytes;
         Runtime::new(engine, budget)
-    }
-
-    /// A runtime over an existing broker (sessions sharing a budget).
-    pub fn with_broker(engine: Arc<Engine>, broker: Arc<MemoryBroker>) -> Runtime {
-        Runtime { engine, broker }
     }
 
     /// The shared engine.
@@ -218,7 +223,7 @@ struct AdmittedRun {
 /// charges a doubling simulated backoff, then asks the engine to
 /// recover the query from its checkpoint manifest (salvaging completed
 /// segments, sweeping orphans, resuming the remainder). The budget is
-/// bounded by `recovery_attempt_limit`; a query still crashed after
+/// bounded by [`RECOVERY_ATTEMPT_LIMIT`]; a query still crashed after
 /// the last attempt is reaped — manifest closed, debris swept — and
 /// fails with the final crash error.
 fn run_admitted(
@@ -295,11 +300,11 @@ fn run_admitted(
         // across attempts (a recovering query does not re-queue for
         // admission), and each attempt charges a doubling simulated
         // backoff before the engine salvages and resumes.
-        while matches!(outcome, Err(MqError::Crash(_)))
-            && recoveries < engine.config().recovery_attempt_limit
-        {
+        while matches!(outcome, Err(MqError::Crash(_))) && recoveries < RECOVERY_ATTEMPT_LIMIT {
             recoveries += 1;
-            charge_recovery_backoff(cfg, ctl.clock, recoveries);
+            // The simulated analogue of waiting out a restart.
+            ctl.clock
+                .charge_backoff(cfg, RECOVERY_BACKOFF_MS, recoveries);
             // `recover_with` overwrites the temp prefix with the
             // recovery generation's own.
             match engine.recover_with(query_id, make_env(String::new())) {
@@ -332,18 +337,6 @@ fn run_admitted(
             segments_salvaged,
         };
     }
-}
-
-/// Charge the simulated clock for recovery-attempt backoff:
-/// `recovery_backoff_ms × 2^(attempt−1)`, expressed in CPU ops on the
-/// job's clock (the simulated analogue of waiting out a restart).
-fn charge_recovery_backoff(cfg: &mq_common::EngineConfig, clock: &SimClock, attempt: u32) {
-    if cfg.cpu_op_ms <= 0.0 {
-        return;
-    }
-    let factor = f64::from(1u32 << attempt.saturating_sub(1).min(16));
-    let backoff_ms = cfg.recovery_backoff_ms * factor;
-    clock.add_cpu((backoff_ms / cfg.cpu_op_ms).ceil() as u64);
 }
 
 /// Execute one workload query on the calling thread.
@@ -459,11 +452,6 @@ pub struct Session {
     cancel: CancelToken,
     /// Per-query deadline in simulated milliseconds, if set.
     deadline_ms: Option<f64>,
-    /// Observability handle applied to every query of the session.
-    obs: Option<mq_obs::Obs>,
-    /// Intra-query partition count applied to every query of the
-    /// session; `None` = serial execution.
-    partitions: Option<usize>,
 }
 
 impl Session {
@@ -476,21 +464,7 @@ impl Session {
             clock,
             cancel: CancelToken::new(),
             deadline_ms: None,
-            obs: None,
-            partitions: None,
         }
-    }
-
-    /// Set (or clear) the session's observability handle: every
-    /// subsequent query runs under its scope (events to its sink,
-    /// metrics into its registry).
-    pub fn set_obs(&mut self, obs: Option<mq_obs::Obs>) {
-        self.obs = obs;
-    }
-
-    /// The session's observability handle, if set.
-    pub fn obs(&self) -> Option<&mq_obs::Obs> {
-        self.obs.as_ref()
     }
 
     /// The shared engine.
@@ -501,24 +475,6 @@ impl Session {
     /// Set (or clear) a per-query deadline in simulated milliseconds.
     pub fn set_deadline_ms(&mut self, deadline_ms: Option<f64>) {
         self.deadline_ms = deadline_ms;
-    }
-
-    /// Set (or clear) the intra-query partition count: subsequent
-    /// queries run through the partitioned driver with `p` simulated
-    /// workers (admission acquires `p` leases atomically).
-    pub fn set_partitions(&mut self, partitions: Option<usize>) {
-        self.partitions = partitions.map(|p| p.max(1));
-    }
-
-    /// The session's intra-query partition count, if set.
-    pub fn partitions(&self) -> Option<usize> {
-        self.partitions
-    }
-
-    /// A clone of the session's cancellation token — cancel it from
-    /// another thread to abort the in-flight query.
-    pub fn cancel_token(&self) -> CancelToken {
-        self.cancel.clone()
     }
 
     /// Request cancellation of the in-flight (and any future) query.
@@ -579,8 +535,8 @@ impl Session {
                 cancel: Some(&self.cancel),
                 deadline_ms,
                 fault: None,
-                obs: self.obs.as_ref(),
-                partitions: self.partitions,
+                obs: None,
+                partitions: None,
             },
             None,
         )

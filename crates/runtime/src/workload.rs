@@ -10,7 +10,7 @@ use mq_reopt::ReoptMode;
 pub enum QuerySpec {
     /// SQL text, parsed when the query is dispatched.
     Sql(String),
-    /// A pre-bound logical plan (e.g. from [`mq_tpcd::queries`]).
+    /// A pre-bound logical plan (e.g. from `mq_tpcd::queries`).
     Plan(LogicalPlan),
 }
 
@@ -72,12 +72,6 @@ impl WorkloadQuery {
         self
     }
 
-    /// Set a deadline in simulated milliseconds from query start.
-    pub fn with_deadline_ms(mut self, deadline_ms: f64) -> WorkloadQuery {
-        self.deadline_ms = Some(deadline_ms);
-        self
-    }
-
     /// Attach a cancellation token.
     pub fn with_cancel(mut self, token: CancelToken) -> WorkloadQuery {
         self.cancel = Some(token);
@@ -128,12 +122,6 @@ impl Workload {
             obs: None,
             partitions: None,
         }
-    }
-
-    /// Attach an observability handle (builder style).
-    pub fn with_obs(mut self, obs: mq_obs::Obs) -> Workload {
-        self.obs = Some(obs);
-        self
     }
 
     /// Append a query (builder style).

@@ -12,6 +12,13 @@ use crate::distinct::FmSketch;
 use crate::histogram::{Histogram, HistogramKind};
 use crate::reservoir::Reservoir;
 
+/// Reservoir-sample size used by ANALYZE, by runtime statistics
+/// collectors and by the adaptive histogram refresh.
+pub const RESERVOIR_SIZE: usize = 1024;
+/// Bucket count for histograms built by ANALYZE, by runtime statistics
+/// collectors and by the adaptive histogram refresh.
+pub const HISTOGRAM_BUCKETS: usize = 32;
+
 /// Accumulates statistics for one column of a tuple stream.
 #[derive(Debug, Clone)]
 pub struct ColumnAccumulator {

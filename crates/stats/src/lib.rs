@@ -25,7 +25,7 @@ pub mod histogram;
 pub mod reservoir;
 pub mod zipf;
 
-pub use accumulator::{ColumnAccumulator, ObservedColumn};
+pub use accumulator::{ColumnAccumulator, ObservedColumn, HISTOGRAM_BUCKETS, RESERVOIR_SIZE};
 pub use distinct::FmSketch;
 pub use histogram::{Bucket, Histogram, HistogramKind};
 pub use reservoir::Reservoir;

@@ -99,11 +99,6 @@ impl<T> Reservoir<T> {
         &self.items
     }
 
-    /// Consume into the sampled items.
-    pub fn into_items(self) -> Vec<T> {
-        self.items
-    }
-
     /// The fraction of the stream captured (1.0 while the stream is
     /// shorter than the capacity).
     pub fn sampling_fraction(&self) -> f64 {

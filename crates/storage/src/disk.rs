@@ -22,8 +22,6 @@ pub struct SimDisk {
 struct DiskState {
     pages: Vec<Option<Box<[u8]>>>,
     free: Vec<u64>,
-    reads: u64,
-    writes: u64,
 }
 
 impl SimDisk {
@@ -71,14 +69,13 @@ impl SimDisk {
 
     /// Read a page into a fresh buffer, charging one physical read.
     pub fn read(&self, pid: PageId) -> Result<Box<[u8]>> {
-        let mut st = self.state.lock();
+        let st = self.state.lock();
         let data = st
             .pages
             .get(pid.0 as usize)
             .and_then(|p| p.as_ref())
             .ok_or_else(|| MqError::Storage(format!("read of unallocated {pid}")))?
             .clone();
-        st.reads += 1;
         drop(st);
         self.clock.add_reads(1);
         Ok(data)
@@ -102,7 +99,6 @@ impl SimDisk {
             Some(p) => p.copy_from_slice(data),
             None => return Err(MqError::Storage(format!("write to freed {pid}"))),
         }
-        st.writes += 1;
         drop(st);
         self.clock.add_writes(1);
         Ok(())
@@ -112,12 +108,6 @@ impl SimDisk {
     pub fn allocated_pages(&self) -> usize {
         let st = self.state.lock();
         st.pages.iter().filter(|p| p.is_some()).count()
-    }
-
-    /// Lifetime (reads, writes) counters.
-    pub fn io_counts(&self) -> (u64, u64) {
-        let st = self.state.lock();
-        (st.reads, st.writes)
     }
 }
 

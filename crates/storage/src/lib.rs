@@ -277,11 +277,6 @@ impl Storage {
             .ok_or_else(|| MqError::NotFound(format!("{index}")))
     }
 
-    /// Number of live heap files.
-    pub fn file_count(&self) -> usize {
-        self.inner.files.lock().len()
-    }
-
     /// Disk pages not owned by any live heap file or index. Metadata
     /// only — no I/O. At quiescence this must be zero: every allocated
     /// page is reachable from a file's page list or a B+-tree's page

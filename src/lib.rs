@@ -298,16 +298,16 @@ impl Database {
         self.engine.clear_plan_cache();
     }
 
-    /// Gather statistics for a table (MaxDiff histograms, catalog
-    /// defaults from the engine config).
+    /// Gather statistics for a table (MaxDiff histograms of
+    /// [`mq_stats::HISTOGRAM_BUCKETS`] buckets over a
+    /// [`mq_stats::RESERVOIR_SIZE`] sample).
     pub fn analyze(&self, table: &str) -> Result<()> {
-        let cfg = self.engine.config();
         self.engine.catalog().analyze(
             self.engine.storage(),
             table,
             mq_stats::HistogramKind::MaxDiff,
-            cfg.histogram_buckets,
-            cfg.reservoir_size,
+            mq_stats::HISTOGRAM_BUCKETS,
+            mq_stats::RESERVOIR_SIZE,
             0xA11A,
         )
     }

@@ -329,7 +329,7 @@ fn insert_triggers_exactly_one_stale_reenumeration() {
 
 /// Adaptive histogram refresh: a column whose histogram predates a
 /// heavy skewed append mis-estimates a one-column predicate by far
-/// more than `hist_refresh_error_factor`. After `hist_refresh_hits`
+/// more than `HIST_REFRESH_ERROR_FACTOR`. After `hist_refresh_hits`
 /// plannings see the error through cardinality feedback, the engine
 /// rebuilds just that column's histogram and drops the stored
 /// corrections — and no further refresh fires, because the healed

@@ -271,12 +271,12 @@ fn workload_recovers_crashed_query_in_place() {
 }
 
 /// Recovery budget exhaustion: a query that crashes on every attempt
-/// is reaped after `recovery_attempt_limit` tries — the final error
+/// is reaped after `RECOVERY_ATTEMPT_LIMIT` tries — the final error
 /// surfaces, the manifest is closed, and the debris is swept.
 #[test]
 fn recovery_budget_exhaustion_reaps_the_query() {
     let db = small_db();
-    let limit = db.engine().config().recovery_attempt_limit;
+    let limit = midq::runtime::RECOVERY_ATTEMPT_LIMIT;
     assert!(limit >= 1);
 
     // One crash spec per boundary the run and every retry could reach:
