@@ -23,10 +23,8 @@
 //!   Admission is filtered: a fingerprint evicted twice under budget
 //!   pressure is refused re-admission, so a family that keeps losing
 //!   the cost-benefit race stops wasting promotion work.
-//!   The cache is split into hash-routed **shards** (independent locks,
-//!   [`SubPlanCache::with_shards`]) so concurrent probe paths do not
-//!   serialize on one mutex; each shard owns an equal slice of the byte
-//!   budget and evicts independently.
+//!   One lock guards the whole cache: probes and promotions are short
+//!   metadata updates next to the queries that make them.
 //! * [`FeedbackStore`] — a map from sub-plan fingerprint to the row
 //!   count actually observed for that sub-plan (by a collector
 //!   checkpoint or an EXPLAIN ANALYZE actual). The optimizer consults
@@ -103,22 +101,6 @@ pub struct CacheStats {
     pub admission_rejects: u64,
 }
 
-impl CacheStats {
-    fn absorb(&mut self, other: &CacheStats) {
-        self.entries += other.entries;
-        self.bytes += other.bytes;
-        self.budget_bytes += other.budget_bytes;
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.promotions += other.promotions;
-        self.evictions += other.evictions;
-        self.invalidations += other.invalidations;
-        self.saved_ms += other.saved_ms;
-        self.saved_bytes += other.saved_bytes;
-        self.admission_rejects += other.admission_rejects;
-    }
-}
-
 struct Slot {
     entry: CacheEntry,
     hits: u64,
@@ -139,11 +121,13 @@ impl Slot {
 
 struct Inner {
     slots: HashMap<u64, Slot>,
-    budget_bytes: u64,
+    /// Counters, plus the byte budget eviction enforces.
     stats: CacheStats,
     /// Budget-pressure evictions per fingerprint, kept after removal:
     /// the admission filter refuses fingerprints evicted twice.
     evicted_counts: HashMap<u64, u32>,
+    /// Probe sequence number, for least-recently-hit tie-breaking.
+    seq: u64,
 }
 
 impl Inner {
@@ -162,7 +146,7 @@ impl Inner {
     /// churn out a hot resident), then lowest score, then least
     /// recently hit.
     fn enforce_budget(&mut self, retired: &mut Vec<CacheEntry>) {
-        while self.live_bytes() > self.budget_bytes {
+        while self.live_bytes() > self.stats.budget_bytes {
             let victim = self
                 .slots
                 .values()
@@ -180,6 +164,11 @@ impl Inner {
             *self.evicted_counts.entry(fp).or_insert(0) += 1;
             retired.push(slot.entry);
         }
+    }
+
+    fn next_seq(&mut self) -> u64 {
+        self.seq += 1;
+        self.seq - 1
     }
 
     /// Mark a slot dead; if unpinned, remove and return it for drop.
@@ -206,14 +195,13 @@ pub struct PinnedEntry {
 /// evicted and its table is never dropped; invalidation marks it dead
 /// and retirement waits for the last pin.
 pub struct PinGuard {
-    shards: Arc<Vec<Mutex<Inner>>>,
+    inner: Arc<Mutex<Inner>>,
     fingerprint: u64,
 }
 
 impl Drop for PinGuard {
     fn drop(&mut self) {
-        let idx = (self.fingerprint % self.shards.len() as u64) as usize;
-        let mut inner = self.shards[idx].lock();
+        let mut inner = self.inner.lock();
         if let Some(slot) = inner.slots.get_mut(&self.fingerprint) {
             slot.pins = slot.pins.saturating_sub(1);
         }
@@ -221,61 +209,26 @@ impl Drop for PinGuard {
 }
 
 /// The materialization cache. Cheap to clone (shared interior); one per
-/// engine. Internally split into hash-routed shards, each with its own
-/// lock and byte-budget slice, so concurrent probes on different
-/// fingerprints never contend.
+/// engine.
 #[derive(Clone)]
 pub struct SubPlanCache {
-    shards: Arc<Vec<Mutex<Inner>>>,
-    seq: Arc<AtomicU64>,
-    /// Probe misses carry no fingerprint routing, so they are counted
-    /// here at cache level instead of being charged to a shard.
-    misses: Arc<AtomicU64>,
+    inner: Arc<Mutex<Inner>>,
 }
 
 impl SubPlanCache {
-    /// Create a single-shard cache with the given byte budget (the
-    /// original single-lock behavior; tests and small tools use this).
+    /// Create a cache with the given byte budget.
     pub fn new(budget_bytes: u64) -> SubPlanCache {
-        SubPlanCache::with_shards(budget_bytes, 1)
-    }
-
-    /// Create a cache split into `shards` hash-routed shards. The byte
-    /// budget is divided evenly (the first `budget % shards` shards get
-    /// one extra byte), and each shard evicts independently — so the
-    /// largest admissible entry is roughly `budget / shards` bytes.
-    pub fn with_shards(budget_bytes: u64, shards: usize) -> SubPlanCache {
-        let n = shards.max(1) as u64;
-        let base = budget_bytes / n;
-        let rem = budget_bytes % n;
-        let shards = (0..n)
-            .map(|i| {
-                let budget = base + u64::from(i < rem);
-                Mutex::new(Inner {
-                    slots: HashMap::new(),
-                    budget_bytes: budget,
-                    stats: CacheStats {
-                        budget_bytes: budget,
-                        ..CacheStats::default()
-                    },
-                    evicted_counts: HashMap::new(),
-                })
-            })
-            .collect();
         SubPlanCache {
-            shards: Arc::new(shards),
-            seq: Arc::new(AtomicU64::new(0)),
-            misses: Arc::new(AtomicU64::new(0)),
+            inner: Arc::new(Mutex::new(Inner {
+                slots: HashMap::new(),
+                stats: CacheStats {
+                    budget_bytes,
+                    ..CacheStats::default()
+                },
+                evicted_counts: HashMap::new(),
+                seq: 0,
+            })),
         }
-    }
-
-    /// Number of independently-locked shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard(&self, fingerprint: u64) -> &Mutex<Inner> {
-        &self.shards[(fingerprint % self.shards.len() as u64) as usize]
     }
 
     /// Replace the byte budget (e.g. when a runtime leases memory for
@@ -283,30 +236,23 @@ impl SubPlanCache {
     /// caller must drop their tables.
     #[must_use = "retired entries' tables must be dropped by the caller"]
     pub fn set_budget(&self, budget_bytes: u64) -> Vec<CacheEntry> {
-        let n = self.shards.len() as u64;
-        let base = budget_bytes / n;
-        let rem = budget_bytes % n;
+        let mut inner = self.inner.lock();
+        inner.stats.budget_bytes = budget_bytes;
         let mut retired = Vec::new();
-        for (i, shard) in self.shards.iter().enumerate() {
-            let budget = base + u64::from((i as u64) < rem);
-            let mut inner = shard.lock();
-            inner.budget_bytes = budget;
-            inner.stats.budget_bytes = budget;
-            inner.enforce_budget(&mut retired);
-        }
+        inner.enforce_budget(&mut retired);
         retired
     }
 
     /// Admit a promoted materialization. Returns entries retired to
     /// make room (possibly including a previous entry under the same
     /// fingerprint); the caller must drop their tables. An entry larger
-    /// than its shard's budget is refused and handed straight back, as
+    /// than the whole budget is refused and handed straight back, as
     /// is a fingerprint the admission filter has seen evicted twice.
     #[must_use = "retired entries' tables must be dropped by the caller"]
     pub fn insert(&self, entry: CacheEntry) -> Vec<CacheEntry> {
-        let mut inner = self.shard(entry.fingerprint).lock();
+        let mut inner = self.inner.lock();
         let mut retired = Vec::new();
-        if entry.bytes > inner.budget_bytes {
+        if entry.bytes > inner.stats.budget_bytes {
             retired.push(entry);
             return retired;
         }
@@ -324,12 +270,13 @@ impl SubPlanCache {
         }
         inner.stats.promotions += 1;
         let fp = entry.fingerprint;
+        let last_hit_seq = inner.next_seq();
         inner.slots.insert(
             fp,
             Slot {
                 entry,
                 hits: 0,
-                last_hit_seq: self.seq.fetch_add(1, Ordering::Relaxed),
+                last_hit_seq,
                 pins: 1, // pinned by the inserting query until its guard drops
                 dead: false,
             },
@@ -347,9 +294,8 @@ impl SubPlanCache {
     /// the catalog's current data versions *while holding the pin* and
     /// calls [`SubPlanCache::invalidate`] if stale.
     pub fn lookup(&self, fingerprint: u64) -> Option<PinnedEntry> {
-        let shard = self.shard(fingerprint);
-        let mut inner = shard.lock();
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+        let mut inner = self.inner.lock();
+        let seq = inner.next_seq();
         let slot = inner.slots.get_mut(&fingerprint).filter(|s| !s.dead)?;
         slot.pins += 1;
         slot.hits += 1;
@@ -361,17 +307,15 @@ impl SubPlanCache {
         Some(PinnedEntry {
             entry,
             guard: PinGuard {
-                shards: Arc::clone(&self.shards),
+                inner: Arc::clone(&self.inner),
                 fingerprint,
             },
         })
     }
 
-    /// Record that an enabled probe found no usable entry. Misses are
-    /// unrouted (there is no entry to name a shard), so they live in a
-    /// cache-level counter and appear only in the aggregate stats.
+    /// Record that an enabled probe found no usable entry.
     pub fn record_miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.inner.lock().stats.misses += 1;
     }
 
     /// Invalidate one entry (stale deps discovered at probe time, or a
@@ -380,7 +324,7 @@ impl SubPlanCache {
     /// from a later [`SubPlanCache::drain_dead`].
     #[must_use = "retired entries' tables must be dropped by the caller"]
     pub fn invalidate(&self, fingerprint: u64) -> Option<CacheEntry> {
-        let mut inner = self.shard(fingerprint).lock();
+        let mut inner = self.inner.lock();
         let killed = inner.kill(fingerprint);
         if killed.is_some() || inner.slots.get(&fingerprint).is_some_and(|s| s.dead) {
             inner.stats.invalidations += 1;
@@ -393,26 +337,24 @@ impl SubPlanCache {
     /// for table drop (pinned ones surface later via `drain_dead`).
     #[must_use = "retired entries' tables must be dropped by the caller"]
     pub fn invalidate_table(&self, table: &str, current_version: u64) -> Vec<CacheEntry> {
+        let mut inner = self.inner.lock();
+        let stale: Vec<u64> = inner
+            .slots
+            .values()
+            .filter(|s| {
+                !s.dead
+                    && s.entry
+                        .deps
+                        .iter()
+                        .any(|(t, v)| t == table && *v < current_version)
+            })
+            .map(|s| s.entry.fingerprint)
+            .collect();
         let mut retired = Vec::new();
-        for shard in self.shards.iter() {
-            let mut inner = shard.lock();
-            let stale: Vec<u64> = inner
-                .slots
-                .values()
-                .filter(|s| {
-                    !s.dead
-                        && s.entry
-                            .deps
-                            .iter()
-                            .any(|(t, v)| t == table && *v < current_version)
-                })
-                .map(|s| s.entry.fingerprint)
-                .collect();
-            for fp in stale {
-                inner.stats.invalidations += 1;
-                if let Some(e) = inner.kill(fp) {
-                    retired.push(e);
-                }
+        for fp in stale {
+            inner.stats.invalidations += 1;
+            if let Some(e) = inner.kill(fp) {
+                retired.push(e);
             }
         }
         retired
@@ -423,58 +365,45 @@ impl SubPlanCache {
     /// their queries finish. Also resets the admission filter.
     #[must_use = "retired entries' tables must be dropped by the caller"]
     pub fn clear(&self) -> Vec<CacheEntry> {
+        let mut inner = self.inner.lock();
+        let fps: Vec<u64> = inner.slots.keys().copied().collect();
         let mut retired = Vec::new();
-        for shard in self.shards.iter() {
-            let mut inner = shard.lock();
-            let fps: Vec<u64> = inner.slots.keys().copied().collect();
-            for fp in fps {
-                if inner.slots.get(&fp).is_some_and(|s| !s.dead) {
-                    inner.stats.invalidations += 1;
-                }
-                if let Some(e) = inner.kill(fp) {
-                    retired.push(e);
-                }
+        for fp in fps {
+            if inner.slots.get(&fp).is_some_and(|s| !s.dead) {
+                inner.stats.invalidations += 1;
             }
-            inner.evicted_counts.clear();
+            if let Some(e) = inner.kill(fp) {
+                retired.push(e);
+            }
         }
+        inner.evicted_counts.clear();
         retired
     }
 
     /// Collect dead entries whose last pin has dropped, for table drop.
     #[must_use = "retired entries' tables must be dropped by the caller"]
     pub fn drain_dead(&self) -> Vec<CacheEntry> {
-        let mut retired = Vec::new();
-        for shard in self.shards.iter() {
-            let mut inner = shard.lock();
-            let done: Vec<u64> = inner
-                .slots
-                .values()
-                .filter(|s| s.dead && s.pins == 0)
-                .map(|s| s.entry.fingerprint)
-                .collect();
-            retired.extend(
-                done.into_iter()
-                    .filter_map(|fp| inner.slots.remove(&fp).map(|s| s.entry)),
-            );
-        }
-        retired
+        let mut inner = self.inner.lock();
+        let done: Vec<u64> = inner
+            .slots
+            .values()
+            .filter(|s| s.dead && s.pins == 0)
+            .map(|s| s.entry.fingerprint)
+            .collect();
+        done.into_iter()
+            .filter_map(|fp| inner.slots.remove(&fp).map(|s| s.entry))
+            .collect()
     }
 
     /// Cache table names of all live entries (for the engine's audit:
     /// a `cache_*` catalog table with no live entry is an orphan).
     pub fn live_tables(&self) -> Vec<String> {
-        let mut out: Vec<String> = self
-            .shards
-            .iter()
-            .flat_map(|shard| {
-                let inner = shard.lock();
-                inner
-                    .slots
-                    .values()
-                    .filter(|s| !s.dead)
-                    .map(|s| s.entry.table.clone())
-                    .collect::<Vec<_>>()
-            })
+        let inner = self.inner.lock();
+        let mut out: Vec<String> = inner
+            .slots
+            .values()
+            .filter(|s| !s.dead)
+            .map(|s| s.entry.table.clone())
             .collect();
         out.sort();
         out
@@ -484,35 +413,24 @@ impl SubPlanCache {
     /// engine's orphan sweep must not touch a dead-but-pinned entry's
     /// table — a query may still be scanning it.
     pub fn known_tables(&self) -> Vec<String> {
-        let mut out: Vec<String> = self
-            .shards
-            .iter()
-            .flat_map(|shard| {
-                let inner = shard.lock();
-                inner
-                    .slots
-                    .values()
-                    .map(|s| s.entry.table.clone())
-                    .collect::<Vec<_>>()
-            })
+        let inner = self.inner.lock();
+        let mut out: Vec<String> = inner
+            .slots
+            .values()
+            .map(|s| s.entry.table.clone())
             .collect();
         out.sort();
         out
     }
 
-    /// Snapshot of the counters, aggregated over every shard plus the
-    /// cache-level (unrouted) miss count.
+    /// Snapshot of the counters.
     pub fn stats(&self) -> CacheStats {
-        let mut s = CacheStats::default();
-        for shard in self.shards.iter() {
-            let inner = shard.lock();
-            let mut part = inner.stats;
-            part.entries = inner.slots.values().filter(|sl| !sl.dead).count();
-            part.bytes = inner.live_bytes();
-            s.absorb(&part);
+        let inner = self.inner.lock();
+        CacheStats {
+            entries: inner.slots.values().filter(|sl| !sl.dead).count(),
+            bytes: inner.live_bytes(),
+            ..inner.stats
         }
-        s.misses += self.misses.load(Ordering::Relaxed);
-        s
     }
 }
 
@@ -798,28 +716,6 @@ mod tests {
         assert_eq!(cache.live_tables(), vec!["cache_1", "cache_2"]);
         let _ = cache.invalidate(1);
         assert_eq!(cache.live_tables(), vec!["cache_2"]);
-    }
-
-    #[test]
-    fn sharded_cache_routes_and_aggregates() {
-        let cache = SubPlanCache::with_shards(400, 4);
-        assert_eq!(cache.shard_count(), 4);
-        // Fingerprints 1..=4 land on four different shards.
-        for fp in 1..=4 {
-            assert!(cache.insert(entry(fp, 50, 1.0, vec![("t", 1)])).is_empty());
-        }
-        for fp in 1..=4 {
-            assert!(cache.lookup(fp).is_some(), "fp {fp} lost in routing");
-        }
-        let s = cache.stats();
-        assert_eq!((s.entries, s.hits, s.promotions), (4, 4, 4));
-        assert_eq!(s.bytes, 200);
-        assert_eq!(s.budget_bytes, 400, "shard budgets must sum to total");
-        // Cross-shard operations see every entry.
-        assert_eq!(cache.live_tables().len(), 4);
-        let retired = cache.invalidate_table("t", 2);
-        assert_eq!(retired.len(), 4);
-        assert_eq!(cache.stats().entries, 0);
     }
 
     #[test]

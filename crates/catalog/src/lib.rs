@@ -19,7 +19,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use mq_common::{DataType, Field, MqError, Result, Row, Schema, TableId, Value};
-use mq_stats::{ColumnAccumulator, HistogramKind};
+use mq_stats::{HistogramKind, StreamStats};
 use mq_storage::Storage;
 
 pub use stats::{ColumnStats, TableStats};
@@ -346,49 +346,19 @@ impl Catalog {
                 .ok_or_else(|| MqError::NotFound(format!("table {table}")))?;
             (t.file, t.schema.clone())
         };
-        let mut accs: Vec<ColumnAccumulator> = (0..schema.len())
-            .map(|i| ColumnAccumulator::new(reservoir, seed.wrapping_add(i as u64)))
-            .collect();
-        let mut rows = 0u64;
-        let mut bytes = 0u64;
+        let mut stream = StreamStats::new(
+            (0..schema.len()).map(|i| (i, seed.wrapping_add(i as u64))),
+            reservoir,
+        );
         for item in storage.scan_file(file)? {
-            let (_, row) = item?;
-            rows += 1;
-            bytes += row.encoded_len() as u64;
-            for (i, acc) in accs.iter_mut().enumerate() {
-                acc.observe(row.get(i));
-            }
+            stream.observe(&item?.1);
         }
         let pages = storage.file_pages(file)? as u64;
-        let mut columns = HashMap::new();
-        for (i, acc) in accs.iter().enumerate() {
-            let observed = acc.finish(kind, buckets);
-            columns.insert(
-                schema.field(i).name.to_string(),
-                ColumnStats {
-                    min: observed.min,
-                    max: observed.max,
-                    distinct: observed.distinct,
-                    null_frac: observed.null_frac,
-                    histogram: observed.histogram,
-                    histogram_kind: Some(kind),
-                    clustering: observed.clustering,
-                },
-            );
-        }
-        let avg_row_bytes = if rows > 0 {
-            bytes as f64 / rows as f64
-        } else {
-            0.0
-        };
+        let names = schema.fields().iter().map(|f| f.name.to_string());
+        let stats = TableStats::observed(&stream, pages, names, kind, buckets);
         let mut inner = self.inner.lock();
         if let Some(t) = inner.tables.get_mut(table) {
-            t.stats = Some(TableStats {
-                rows,
-                pages,
-                avg_row_bytes,
-                columns,
-            });
+            t.stats = Some(stats);
             t.inserts_since_analyze = 0;
         }
         Ok(())
@@ -430,26 +400,17 @@ impl Catalog {
                 .ok_or_else(|| MqError::NotFound(format!("column {table}.{column}")))?;
             (t.file, ci)
         };
-        let mut acc = ColumnAccumulator::new(reservoir, seed);
+        let mut stream = StreamStats::new([(ci, seed)], reservoir);
         for item in storage.scan_file(file)? {
-            let (_, row) = item?;
-            acc.observe(row.get(ci));
+            stream.observe(&item?.1);
         }
-        let observed = acc.finish(kind, buckets);
+        let observed = stream.finish(kind, buckets).remove(0);
         let mut inner = self.inner.lock();
         if let Some(t) = inner.tables.get_mut(table) {
             if let Some(stats) = &mut t.stats {
                 stats.columns.insert(
                     column.to_string(),
-                    ColumnStats {
-                        min: observed.min,
-                        max: observed.max,
-                        distinct: observed.distinct,
-                        null_frac: observed.null_frac,
-                        histogram: observed.histogram,
-                        histogram_kind: Some(kind),
-                        clustering: observed.clustering,
-                    },
+                    ColumnStats::observed(observed, Some(kind)),
                 );
             }
         }

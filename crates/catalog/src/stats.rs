@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 
 use mq_common::Value;
-use mq_stats::{Histogram, HistogramKind};
+use mq_stats::{Histogram, HistogramKind, ObservedColumn, StreamStats};
 
 /// Table-level statistics from ANALYZE (or observed at run time for a
 /// materialized intermediate result, where they are *exact*).
@@ -20,6 +20,30 @@ pub struct TableStats {
 }
 
 impl TableStats {
+    /// Table statistics from one pass over every column of a table or
+    /// result: `names` are the column names in the order `stream`
+    /// watches them, and each column gets a `kind` histogram of
+    /// `buckets` buckets.
+    pub fn observed(
+        stream: &StreamStats,
+        pages: u64,
+        names: impl IntoIterator<Item = String>,
+        kind: HistogramKind,
+        buckets: usize,
+    ) -> TableStats {
+        let columns = names
+            .into_iter()
+            .zip(stream.finish(kind, buckets))
+            .map(|(name, obs)| (name, ColumnStats::observed(obs, Some(kind))))
+            .collect();
+        TableStats {
+            rows: stream.rows(),
+            pages,
+            avg_row_bytes: stream.avg_row_bytes(),
+            columns,
+        }
+    }
+
     /// Stats for one column, if gathered.
     pub fn column(&self, name: &str) -> Option<&ColumnStats> {
         self.columns.get(name)
@@ -50,6 +74,22 @@ pub struct ColumnStats {
     /// in this column's order). Drives the index cost model's
     /// sequential-vs-random blend.
     pub clustering: f64,
+}
+
+impl ColumnStats {
+    /// Column statistics from a one-pass observation, recording
+    /// `histogram_kind` as the histogram's class.
+    pub fn observed(obs: ObservedColumn, histogram_kind: Option<HistogramKind>) -> ColumnStats {
+        ColumnStats {
+            min: obs.min,
+            max: obs.max,
+            distinct: obs.distinct,
+            null_frac: obs.null_frac,
+            histogram: obs.histogram,
+            histogram_kind,
+            clustering: obs.clustering,
+        }
+    }
 }
 
 #[cfg(test)]

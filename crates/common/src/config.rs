@@ -24,8 +24,8 @@
 //! * `mq_expr`: `UDF_SELECTIVITY`, `DEFAULT_EQ_SELECTIVITY` and
 //!   `DEFAULT_RANGE_SELECTIVITY`;
 //! * `mq_reopt::engine`: `TRANSIENT_RETRY_LIMIT`,
-//!   `TRANSIENT_RETRY_BACKOFF_MS`, `CACHE_SHARDS`,
-//!   `PLAN_CACHE_STALENESS` and `HIST_REFRESH_ERROR_FACTOR`;
+//!   `TRANSIENT_RETRY_BACKOFF_MS`, `PLAN_CACHE_STALENESS` and
+//!   `HIST_REFRESH_ERROR_FACTOR`;
 //! * `mq_runtime`: `RECOVERY_ATTEMPT_LIMIT` and `RECOVERY_BACKOFF_MS`;
 //! * `mq_par`: `PAR_BUCKETS` and `PAR_BROADCAST_ROWS`.
 

@@ -553,18 +553,8 @@ impl ReoptController {
                         .rsplit_once('.')
                         .map(|(_, b)| b)
                         .unwrap_or(qualified);
-                    columns.insert(
-                        bare.to_string(),
-                        ColumnStats {
-                            min: oc.min.clone(),
-                            max: oc.max.clone(),
-                            distinct: oc.distinct,
-                            null_frac: oc.null_frac,
-                            histogram: oc.histogram.clone(),
-                            histogram_kind: oc.histogram.as_ref().map(|h| h.kind()),
-                            clustering: oc.clustering,
-                        },
-                    );
+                    let kind = oc.histogram.as_ref().map(|h| h.kind());
+                    columns.insert(bare.to_string(), ColumnStats::observed(oc.clone(), kind));
                 }
             }
         });

@@ -44,10 +44,6 @@ pub const TRANSIENT_RETRY_LIMIT: u32 = 2;
 /// Simulated-clock backoff before the first segment retry, in
 /// milliseconds; doubles on each further retry.
 pub const TRANSIENT_RETRY_BACKOFF_MS: f64 = 5.0;
-/// Number of independently-locked shards the sub-plan cache is split
-/// into (hash-routed by fingerprint), so the probe path does not
-/// serialize concurrent workers.
-pub const CACHE_SHARDS: usize = 8;
 /// Staleness threshold for cached plans: once this many feedback
 /// corrections have been applied against a cached plan's sub-plan
 /// fingerprints *since it was entered*, the entry is re-enumerated on
@@ -287,6 +283,29 @@ fn schema_permutation(have: &Schema, want: &Schema) -> Option<Vec<usize>> {
         map.push(idx);
     }
     Some(map)
+}
+
+/// Every statistics collector in `plan` whose input ran to exhaustion,
+/// as (the collector's child, its complete observation) pairs in walk
+/// order — what both feedback write-backs start from.
+fn collector_observations<'a>(
+    plan: &'a PhysPlan,
+    controller: &ReoptController,
+) -> Vec<(&'a PhysPlan, mq_exec::ObservedStats)> {
+    let mut observations = controller.complete_observations();
+    let mut out = Vec::new();
+    plan.walk(&mut |node| {
+        if !matches!(node.op, PhysOp::StatsCollector { .. }) {
+            return;
+        }
+        let Some(child) = node.children.first() else {
+            return;
+        };
+        if let Some(i) = observations.iter().position(|o| o.node == node.id) {
+            out.push((child, observations.swap_remove(i)));
+        }
+    });
+    out
 }
 
 /// Which query owns a `tmp_reopt_*` object: parses the query id out of
@@ -558,7 +577,7 @@ impl Engine {
         let optimizer = Optimizer::new(cfg.clone());
         let mm = MemoryManager::new(&cfg);
         let calibration = Arc::new(OptCalibration::run(&cfg, 6)?);
-        let cache = SubPlanCache::with_shards(cfg.cache_budget_bytes as u64, CACHE_SHARDS);
+        let cache = SubPlanCache::new(cfg.cache_budget_bytes as u64);
         let plancache = PlanCache::new(cfg.plan_cache_entries);
         let engine = Engine {
             cfg,
@@ -1787,38 +1806,25 @@ impl Engine {
         controller: &ReoptController,
         temp_tables: &[String],
     ) {
-        let observations = controller.complete_observations();
-        if observations.is_empty() {
-            return;
-        }
-        plan.walk(&mut |node| {
-            if !matches!(node.op, PhysOp::StatsCollector { .. }) {
-                return;
-            }
-            let Some(child) = node.children.first() else {
-                return;
-            };
-            let Some(obs) = observations.iter().find(|o| o.node == node.id) else {
-                return;
-            };
+        for (child, obs) in collector_observations(plan, controller) {
             let tables = base_tables(child);
             if tables.iter().any(|t| {
                 t.starts_with("tmp_reopt_")
                     || t.starts_with("cache_")
                     || temp_tables.iter().any(|tt| tt == t)
             }) {
-                return;
+                continue;
             }
-            let mut deps = Vec::with_capacity(tables.len());
-            for t in tables {
-                let Some(v) = self.catalog.data_version(&t) else {
-                    return;
-                };
-                deps.push((t, v));
-            }
+            let deps: Option<Vec<_>> = tables
+                .into_iter()
+                .map(|t| self.catalog.data_version(&t).map(|v| (t, v)))
+                .collect();
+            let Some(deps) = deps else {
+                continue;
+            };
             self.feedback
                 .record(subplan_fingerprint(child), obs.rows as f64, deps);
-        });
+        }
     }
 
     /// §2.2 statistics feedback: a collector that drained the complete,
@@ -1834,34 +1840,21 @@ impl Engine {
         controller: &ReoptController,
         temp_tables: &[String],
     ) {
-        let observations = controller.complete_observations();
-        if observations.is_empty() {
-            return;
-        }
-        plan.walk(&mut |node| {
-            if !matches!(node.op, mq_plan::PhysOp::StatsCollector { .. }) {
-                return;
-            }
-            let Some(child) = node.children.first() else {
-                return;
-            };
-            let mq_plan::PhysOp::SeqScan { spec, filter: None } = &child.op else {
-                return;
+        for (child, obs) in collector_observations(plan, controller) {
+            let PhysOp::SeqScan { spec, filter: None } = &child.op else {
+                continue;
             };
             if temp_tables.iter().any(|t| t == &spec.table) {
-                return;
+                continue;
             }
-            let Some(obs) = observations.iter().find(|o| o.node == node.id) else {
-                return;
-            };
             // Collector specs use qualified names; catalog column stats
             // are keyed by bare name.
             let columns = obs
                 .columns
-                .iter()
+                .into_iter()
                 .map(|(k, v)| {
-                    let bare = k.rsplit('.').next().unwrap_or(k).to_string();
-                    (bare, v.clone())
+                    let bare = k.rsplit('.').next().unwrap_or(&k).to_string();
+                    (bare, v)
                 })
                 .collect();
             let pages = self
@@ -1875,7 +1868,7 @@ impl Engine {
                 obs.avg_row_bytes,
                 &columns,
             );
-        });
+        }
     }
 
     /// Recover a crashed query by id: validate its checkpoint manifest

@@ -43,7 +43,7 @@ pub use controller::ReoptController;
 pub use engine::{
     AuditReport, Engine, ExecRequest, JobEnv, PlanSource, QueryOutcome, RecoveryReport,
 };
-pub use explain::{explain_analyze, explain_plan};
+pub use explain::explain_analyze;
 pub use manifest::{CheckpointRecord, ManifestStore, QueryManifest};
 pub use mq_cache::{CacheEntry, CacheStats, FeedbackStore, SubPlanCache};
 pub use mq_par::{ExchangeReport, ParReport, ParSpec, SkewReport};

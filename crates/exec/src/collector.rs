@@ -13,9 +13,7 @@ use std::collections::HashMap;
 
 use mq_common::{Result, Row, Schema};
 use mq_plan::{CollectorSpec, NodeId};
-use mq_stats::{
-    ColumnAccumulator, HistogramKind, ObservedColumn, HISTOGRAM_BUCKETS, RESERVOIR_SIZE,
-};
+use mq_stats::{HistogramKind, ObservedColumn, StreamStats, HISTOGRAM_BUCKETS, RESERVOIR_SIZE};
 
 use crate::context::ExecContext;
 use crate::Operator;
@@ -47,14 +45,10 @@ pub struct ObservedStats {
 pub struct CollectorParts {
     /// The collector's plan-node id.
     pub node: NodeId,
-    /// The specs, parallel to `accs`.
+    /// The specs, in the order `stream` watches their columns.
     pub specs: Vec<CollectorSpec>,
-    /// One accumulator per spec.
-    pub accs: Vec<ColumnAccumulator>,
-    /// Rows observed by this run.
-    pub rows: u64,
-    /// Encoded bytes observed by this run.
-    pub bytes: u64,
+    /// Rows, bytes and one accumulator per spec.
+    pub stream: StreamStats,
     /// Whether this run drained its input.
     pub complete: bool,
 }
@@ -65,76 +59,48 @@ impl CollectorParts {
     /// only if every constituent run was.
     pub fn merge(&mut self, other: &CollectorParts) {
         debug_assert_eq!(self.node, other.node);
-        debug_assert_eq!(self.accs.len(), other.accs.len());
-        for (a, b) in self.accs.iter_mut().zip(&other.accs) {
-            a.merge(b);
-        }
-        self.rows += other.rows;
-        self.bytes += other.bytes;
+        self.stream.merge(&other.stream);
         self.complete &= other.complete;
     }
 
     /// Finish the (possibly merged) parts into the [`ObservedStats`]
-    /// the monitor consumes.
+    /// the monitor consumes — the one finalize shared by the in-stream
+    /// collector and the partitioned driver's barrier merge.
     pub fn finish(&self) -> ObservedStats {
-        finish_observed(
-            self.node,
-            &self.specs,
-            &self.accs,
-            self.rows,
-            self.bytes,
-            self.complete,
-        )
-    }
-}
-
-/// Build an [`ObservedStats`] from raw accumulators — the single
-/// finalize recipe shared by the in-stream collector and the
-/// partitioned driver's barrier merge.
-pub fn finish_observed(
-    node: NodeId,
-    specs: &[CollectorSpec],
-    accs: &[ColumnAccumulator],
-    rows: u64,
-    bytes: u64,
-    complete: bool,
-) -> ObservedStats {
-    let mut columns = HashMap::new();
-    for (spec, acc) in specs.iter().zip(accs) {
-        let mut obs = acc.finish(HistogramKind::MaxDiff, HISTOGRAM_BUCKETS);
-        if !spec.histogram {
-            obs.histogram = None;
+        let observed = self
+            .stream
+            .finish(HistogramKind::MaxDiff, HISTOGRAM_BUCKETS);
+        let columns = self
+            .specs
+            .iter()
+            .zip(observed)
+            .map(|(spec, mut obs)| {
+                if !spec.histogram {
+                    obs.histogram = None;
+                }
+                // `distinct` stays populated either way: once the
+                // sketch exists the estimate is free, and extra
+                // information never hurts the controller.
+                (spec.column.clone(), obs)
+            })
+            .collect();
+        ObservedStats {
+            node: self.node,
+            rows: self.stream.rows(),
+            avg_row_bytes: self.stream.avg_row_bytes(),
+            columns,
+            complete: self.complete,
         }
-        // `distinct` stays populated either way: once the sketch
-        // exists the estimate is free, and extra information never
-        // hurts the controller.
-        columns.insert(spec.column.clone(), obs);
-    }
-    ObservedStats {
-        node,
-        rows,
-        avg_row_bytes: if rows > 0 {
-            bytes as f64 / rows as f64
-        } else {
-            0.0
-        },
-        columns,
-        complete,
     }
 }
 
 /// Pass-through operator that observes the stream.
 pub struct StatsCollectorExec {
-    node: NodeId,
     input: Box<dyn Operator>,
-    specs: Vec<(CollectorSpec, usize)>,
-    accs: Vec<ColumnAccumulator>,
-    rows: u64,
-    bytes: u64,
-    reported: bool,
-    bound: bool,
     schema: Schema,
-    raw_specs: Vec<CollectorSpec>,
+    parts: CollectorParts,
+    bound: bool,
+    reported: bool,
 }
 
 impl StatsCollectorExec {
@@ -146,31 +112,31 @@ impl StatsCollectorExec {
         schema: Schema,
     ) -> StatsCollectorExec {
         StatsCollectorExec {
-            node,
             input,
-            specs: Vec::new(),
-            accs: Vec::new(),
-            rows: 0,
-            bytes: 0,
-            reported: false,
-            bound: false,
             schema,
-            raw_specs: specs,
+            parts: CollectorParts {
+                node,
+                specs,
+                stream: StreamStats::new([], RESERVOIR_SIZE),
+                complete: false,
+            },
+            bound: false,
+            reported: false,
         }
     }
 
+    /// Resolve each spec's column position and start the stream.
     fn bind(&mut self) -> Result<()> {
         if self.bound {
             return Ok(());
         }
-        for (i, spec) in self.raw_specs.iter().enumerate() {
-            let idx = self.schema.index_of(&spec.column)?;
-            self.specs.push((spec.clone(), idx));
-            self.accs.push(ColumnAccumulator::new(
-                RESERVOIR_SIZE,
-                0x5EED ^ (self.node.0 as u64) << 8 ^ i as u64,
-            ));
+        let node = self.parts.node.0 as u64;
+        let mut cols = Vec::with_capacity(self.parts.specs.len());
+        for (i, spec) in self.parts.specs.iter().enumerate() {
+            let pos = self.schema.index_of(&spec.column)?;
+            cols.push((pos, 0x5EED ^ (node << 8) ^ i as u64));
         }
+        self.parts.stream = StreamStats::new(cols, RESERVOIR_SIZE);
         self.bound = true;
         Ok(())
     }
@@ -180,28 +146,14 @@ impl StatsCollectorExec {
             return Ok(());
         }
         self.reported = true;
+        self.parts.complete = complete;
         if let Some(capture) = &ctx.collector_capture {
             // Capture mode: deposit raw, still-mergeable state; the
             // partitioned driver merges bucket runs and reports once.
-            capture.borrow_mut().push(CollectorParts {
-                node: self.node,
-                specs: self.specs.iter().map(|(s, _)| s.clone()).collect(),
-                accs: self.accs.clone(),
-                rows: self.rows,
-                bytes: self.bytes,
-                complete,
-            });
+            capture.borrow_mut().push(self.parts.clone());
             return Ok(());
         }
-        let stats = finish_observed(
-            self.node,
-            &self.raw_specs,
-            &self.accs,
-            self.rows,
-            self.bytes,
-            complete,
-        );
-        ctx.notify_collector(stats)
+        ctx.notify_collector(self.parts.finish())
     }
 }
 
@@ -214,19 +166,14 @@ impl Operator for StatsCollectorExec {
     fn next(&mut self, ctx: &ExecContext) -> Result<Option<Row>> {
         match self.input.next(ctx)? {
             Some(row) => {
-                self.rows += 1;
-                self.bytes += row.encoded_len() as u64;
-                ctx.clock.add_cpu(1);
-                for ((_, idx), acc) in self.specs.iter().zip(&mut self.accs) {
-                    let ops = acc.observe(row.get(*idx));
-                    ctx.clock.add_cpu(ops);
-                }
+                ctx.clock.add_cpu(1 + self.parts.stream.observe(&row));
                 // Provisional progress: the observed count is a lower
                 // bound on the final cardinality — cheap, and it lets
                 // the controller react *before* a downstream build
                 // overflows (§2.3 extension).
-                if self.rows.is_multiple_of(1024) {
-                    ctx.notify_progress(self.node, self.rows)?;
+                let rows = self.parts.stream.rows();
+                if rows.is_multiple_of(1024) {
+                    ctx.notify_progress(self.parts.node, rows)?;
                 }
                 Ok(Some(row))
             }

@@ -35,7 +35,7 @@ use std::collections::HashMap;
 use mq_common::{MqError, Result, Row};
 use mq_plan::{NodeId, PhysOp, PhysPlan};
 
-pub use collector::{finish_observed, CollectorParts, ObservedStats};
+pub use collector::{CollectorParts, ObservedStats};
 pub use context::{Artifact, ExecContext, ExecMonitor, HashBuild, OpActuals};
 pub use sink::{materialize, row_fingerprint, rows_fingerprint, MaterializedResult};
 

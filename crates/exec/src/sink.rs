@@ -2,12 +2,10 @@
 //! *exact* statistics on the way (the re-optimizer's temp tables have
 //! perfect cardinalities — that is the whole point of §2.4's Figure 6).
 
-use std::collections::HashMap;
-
-use mq_catalog::{ColumnStats, TableStats};
+use mq_catalog::TableStats;
 use mq_common::{FileId, Result, Schema};
 use mq_plan::PhysPlan;
-use mq_stats::{ColumnAccumulator, HistogramKind, HISTOGRAM_BUCKETS, RESERVOIR_SIZE};
+use mq_stats::{HistogramKind, StreamStats, HISTOGRAM_BUCKETS, RESERVOIR_SIZE};
 
 use crate::build_executor;
 use crate::context::ExecContext;
@@ -50,22 +48,16 @@ pub fn materialize(plan: &PhysPlan, ctx: &ExecContext) -> Result<MaterializedRes
     // durable owner (`ExecContext::forget_temp_file`): if execution
     // fails mid-drain, the unwind path reclaims the partial file.
     let file = ctx.create_temp_file();
-    let mut accs: Vec<ColumnAccumulator> = (0..schema.len())
-        .map(|i| ColumnAccumulator::new(RESERVOIR_SIZE, 0xFEED ^ i as u64))
-        .collect();
-    let mut rows = 0u64;
-    let mut bytes = 0u64;
+    let mut stream = StreamStats::new(
+        (0..schema.len()).map(|i| (i, 0xFEED ^ i as u64)),
+        RESERVOIR_SIZE,
+    );
     let mut fingerprint = 0u64;
 
     exec.open(ctx)?;
     while let Some(row) = exec.next(ctx)? {
-        rows += 1;
-        bytes += row.encoded_len() as u64;
         fingerprint = fingerprint.wrapping_add(row_fingerprint(&row));
-        for (i, acc) in accs.iter_mut().enumerate() {
-            let ops = acc.observe(row.get(i));
-            ctx.clock.add_cpu(ops);
-        }
+        ctx.clock.add_cpu(stream.observe(&row));
         ctx.storage.append_row(file, &row)?;
     }
     exec.close(ctx)?;
@@ -73,36 +65,19 @@ pub fn materialize(plan: &PhysPlan, ctx: &ExecContext) -> Result<MaterializedRes
     // eviction. Small results that stay pool-resident read back for
     // free — honest behaviour for both the baseline and the switch.
 
-    let mut columns = HashMap::new();
-    for (i, acc) in accs.iter().enumerate() {
-        let obs = acc.finish(HistogramKind::MaxDiff, HISTOGRAM_BUCKETS);
-        columns.insert(
-            schema.field(i).name.to_string(),
-            ColumnStats {
-                min: obs.min,
-                max: obs.max,
-                distinct: obs.distinct,
-                null_frac: obs.null_frac,
-                histogram: obs.histogram,
-                histogram_kind: Some(HistogramKind::MaxDiff),
-                clustering: obs.clustering,
-            },
-        );
-    }
     let pages = ctx.storage.file_pages(file)? as u64;
+    let names = schema.fields().iter().map(|f| f.name.to_string());
+    let stats = TableStats::observed(
+        &stream,
+        pages,
+        names,
+        HistogramKind::MaxDiff,
+        HISTOGRAM_BUCKETS,
+    );
     Ok(MaterializedResult {
         file,
         fingerprint,
         schema,
-        stats: TableStats {
-            rows,
-            pages,
-            avg_row_bytes: if rows > 0 {
-                bytes as f64 / rows as f64
-            } else {
-                0.0
-            },
-            columns,
-        },
+        stats,
     })
 }

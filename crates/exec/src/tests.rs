@@ -963,3 +963,207 @@ fn chunked_spill_hash_join_matches_oracle_at_pinned_cost() {
         "simulated cost of the chunked spill join"
     );
 }
+
+/// Table p(id INT, n INT, z INT, s VARCHAR) with 3000 rows: `id` is
+/// laid down in order (clustered), `n` is NULL on every 7th row and
+/// `z` is skewed (half the rows are 0, a sixth are 1).
+fn load_pinned_table(fx: &Fixture) {
+    fx.catalog
+        .create_table(
+            &fx.storage,
+            "p",
+            vec![
+                ("id", DataType::Int),
+                ("n", DataType::Int),
+                ("z", DataType::Int),
+                ("s", DataType::Str),
+            ],
+        )
+        .unwrap();
+    for i in 0..3000i64 {
+        let n = if i % 7 == 0 {
+            Value::Null
+        } else {
+            Value::Int((i * 37) % 101)
+        };
+        let z = if i % 2 == 0 {
+            0
+        } else if i % 3 == 0 {
+            1
+        } else {
+            (i * 13) % 200
+        };
+        let row = Row::new(vec![
+            Value::Int(i),
+            n,
+            Value::Int(z),
+            Value::str(format!("s{}", i % 50)),
+        ]);
+        fx.catalog.insert_row(&fx.storage, "p", row).unwrap();
+    }
+}
+
+/// One line per column statistic, with every float in its exact
+/// (round-trip) form.
+fn column_line(
+    name: &str,
+    distinct: f64,
+    null_frac: f64,
+    clustering: f64,
+    h: Option<&mq_stats::Histogram>,
+) -> String {
+    let (buckets, first) = match h {
+        Some(h) => (h.buckets().len(), format!("{:?}", h.buckets().first())),
+        None => (0, "-".to_string()),
+    };
+    format!(
+        "{name}: distinct={distinct:?} null_frac={null_frac:?} \
+         clustering={clustering:?} buckets={buckets} first={first}"
+    )
+}
+
+fn table_lines(stats: &mq_catalog::TableStats) -> Vec<String> {
+    let mut lines: Vec<String> = stats
+        .columns
+        .iter()
+        .map(|(name, c)| {
+            column_line(
+                name,
+                c.distinct,
+                c.null_frac,
+                c.clustering,
+                c.histogram.as_ref(),
+            )
+        })
+        .collect();
+    lines.sort();
+    lines.insert(
+        0,
+        format!(
+            "rows={} avg_row_bytes={:?}",
+            stats.rows, stats.avg_row_bytes
+        ),
+    );
+    lines
+}
+
+/// The one-pass statistics of ANALYZE, single-column ANALYZE,
+/// materialization and a collector, pinned to exact values (seeds,
+/// CPU charges and histograms included), so a refactor of the shared
+/// recipe cannot drift any of them.
+#[test]
+fn statistics_passes_are_pinned() {
+    use mq_stats::{HistogramKind, HISTOGRAM_BUCKETS, RESERVOIR_SIZE};
+
+    let fx = Fixture::new();
+    load_pinned_table(&fx);
+    let stats_of = |fx: &Fixture| fx.catalog.table("p").unwrap().stats.unwrap();
+
+    fx.catalog
+        .analyze(
+            &fx.storage,
+            "p",
+            HistogramKind::MaxDiff,
+            HISTOGRAM_BUCKETS,
+            RESERVOIR_SIZE,
+            7,
+        )
+        .unwrap();
+    assert_eq!(table_lines(&stats_of(&fx)), ANALYZE_PIN);
+
+    fx.catalog
+        .analyze_column(
+            &fx.storage,
+            "p",
+            "z",
+            HistogramKind::EquiDepth,
+            16,
+            256,
+            0xA11A,
+        )
+        .unwrap();
+    let z = &stats_of(&fx).columns["z"];
+    let line = column_line(
+        "z",
+        z.distinct,
+        z.null_frac,
+        z.clustering,
+        z.histogram.as_ref(),
+    );
+    assert_eq!(line, ANALYZE_COLUMN_PIN);
+
+    let mut plan = fx.scan_plan("p", None);
+    plan.assign_ids();
+    let before = fx.clock.snapshot();
+    let result = sink::materialize(&plan, &fx.ctx()).unwrap();
+    let ops = fx.clock.snapshot().since(&before).cpu_ops;
+    assert_eq!(table_lines(&result.stats), MATERIALIZE_PIN);
+    assert_eq!(ops, 38142, "materialize CPU ops");
+
+    let schema = plan.schema.clone();
+    let spec = |column: &str, histogram: bool| CollectorSpec {
+        column: column.into(),
+        histogram,
+        distinct: true,
+    };
+    let mut plan = PhysPlan::new(
+        PhysOp::StatsCollector {
+            specs: vec![spec("p.n", true), spec("p.z", true), spec("p.id", false)],
+            site: "test".into(),
+        },
+        vec![fx.scan_plan("p", None)],
+        schema,
+    );
+    plan.assign_ids();
+    let rec = Rc::new(Recorder::default());
+    let before = fx.clock.snapshot();
+    run_to_vec(&plan, &fx.ctx().with_monitor(rec.clone())).unwrap();
+    let ops = fx.clock.snapshot().since(&before).cpu_ops;
+    let collected = rec.collected.borrow();
+    let st = &collected[0];
+    let mut lines: Vec<String> = st
+        .columns
+        .iter()
+        .map(|(name, c)| {
+            column_line(
+                name,
+                c.distinct,
+                c.null_frac,
+                c.clustering,
+                c.histogram.as_ref(),
+            )
+        })
+        .collect();
+    lines.sort();
+    lines.insert(
+        0,
+        format!(
+            "rows={} avg_row_bytes={:?} complete={}",
+            st.rows, st.avg_row_bytes, st.complete
+        ),
+    );
+    assert_eq!(lines, COLLECTOR_PIN);
+    assert_eq!(ops, 32142, "collector CPU ops");
+}
+
+const ANALYZE_PIN: &[&str] = &[
+    "rows=3000 avg_row_bytes=35.656",
+    "id: distinct=3000.0 null_frac=0.0 clustering=1.0 buckets=32 first=Some(Bucket { lo: 0.0, hi: 5.0, frac: 0.0029296875, distinct: 8.7890625 })",
+    "n: distinct=112.70321987592328 null_frac=0.143 clustering=0.1455252918287937 buckets=32 first=Some(Bucket { lo: 0.0, hi: 7.0, frac: 0.068626953125, distinct: 8.926987712944419 })",
+    "s: distinct=62.773072192750476 null_frac=0.0 clustering=0.9206402134044682 buckets=32 first=Some(Bucket { lo: 8.300134113243824e18, hi: 8.300134113243824e18, frac: 0.017578125, distinct: 1.0 })",
+    "z: distinct=102.01175845748065 null_frac=0.0 clustering=0.00033344448149374983 buckets=32 first=Some(Bucket { lo: 0.0, hi: 0.0, frac: 0.5185546875, distinct: 1.0 })",
+];
+const ANALYZE_COLUMN_PIN: &str = "z: distinct=102.01175845748065 null_frac=0.0 clustering=0.00033344448149374983 buckets=7 first=Some(Bucket { lo: 0.0, hi: 0.0, frac: 0.53515625, distinct: 1.0 })";
+const MATERIALIZE_PIN: &[&str] = &[
+    "rows=3000 avg_row_bytes=35.656",
+    "id: distinct=3000.0 null_frac=0.0 clustering=1.0 buckets=32 first=Some(Bucket { lo: 4.0, hi: 271.0, frac: 0.0927734375, distinct: 278.3203125 })",
+    "n: distinct=112.70321987592328 null_frac=0.143 clustering=0.1455252918287937 buckets=32 first=Some(Bucket { lo: 0.0, hi: 3.0, frac: 0.028455078124999998, distinct: 4.463493856472209 })",
+    "s: distinct=62.773072192750476 null_frac=0.0 clustering=0.9206402134044682 buckets=32 first=Some(Bucket { lo: 8.300134113243824e18, hi: 8.300134113243824e18, frac: 0.021484375, distinct: 1.0 })",
+    "z: distinct=102.01175845748065 null_frac=0.0 clustering=0.00033344448149374983 buckets=32 first=Some(Bucket { lo: 0.0, hi: 0.0, frac: 0.5166015625, distinct: 1.0 })",
+];
+const COLLECTOR_PIN: &[&str] = &[
+    "rows=3000 avg_row_bytes=35.656 complete=true",
+    "p.id: distinct=3000.0 null_frac=0.0 clustering=1.0 buckets=0 first=-",
+    "p.n: distinct=112.70321987592328 null_frac=0.143 clustering=0.1455252918287937 buckets=32 first=Some(Bucket { lo: 0.0, hi: 1.0, frac: 0.015064453125, distinct: 2.2317469282361047 })",
+    "p.z: distinct=102.01175845748065 null_frac=0.0 clustering=0.00033344448149374983 buckets=32 first=Some(Bucket { lo: 0.0, hi: 0.0, frac: 0.4833984375, distinct: 1.0 })",
+];

@@ -193,24 +193,6 @@ impl MemoryManager {
         self.reallocate(plan, cfg, &HashSet::new(), &HashSet::new())
     }
 
-    /// Like [`MemoryManager::reallocate`], but with per-operator grant
-    /// *floors*: an unstarted operator is never sized below its floor
-    /// (its current grant). Lowering a grant trusts an estimate that
-    /// may still be wrong, and an induced spill costs far more than the
-    /// memory recycled — so the controller only ever raises.
-    pub fn reallocate_with_floors(
-        &self,
-        plan: &mut PhysPlan,
-        cfg: &EngineConfig,
-        started: &HashSet<NodeId>,
-        finished: &HashSet<NodeId>,
-        floors: &HashMap<NodeId, usize>,
-    ) -> Result<AllocationReport> {
-        let saved: Vec<MemoryDemand> = demands(plan, cfg);
-        let _ = saved;
-        self.reallocate_inner(plan, cfg, started, finished, floors)
-    }
-
     /// Re-allocate after estimates improved. Operators in `started`
     /// keep their existing grants (charged against the budget); only
     /// not-yet-started operators are re-sized (§2.3). Operators in
@@ -222,27 +204,9 @@ impl MemoryManager {
         started: &HashSet<NodeId>,
         finished: &HashSet<NodeId>,
     ) -> Result<AllocationReport> {
-        self.reallocate_inner(plan, cfg, started, finished, &HashMap::new())
-    }
-
-    fn reallocate_inner(
-        &self,
-        plan: &mut PhysPlan,
-        cfg: &EngineConfig,
-        started: &HashSet<NodeId>,
-        finished: &HashSet<NodeId>,
-        floors: &HashMap<NodeId, usize>,
-    ) -> Result<AllocationReport> {
         let all: Vec<MemoryDemand> = demands(plan, cfg)
             .into_iter()
             .filter(|d| !finished.contains(&d.node))
-            .map(|mut d| {
-                if let Some(&floor) = floors.get(&d.node) {
-                    d.min = d.min.max(floor);
-                    d.max = d.max.max(d.min);
-                }
-                d
-            })
             .collect();
         let mut kept: HashMap<NodeId, usize> = HashMap::new();
         let mut budget = self.budget();
@@ -506,40 +470,6 @@ mod tests {
         // Aggregate max = groups × (row + overhead).
         assert_eq!(ds[1].max, (500.0 * (16.0 + GROUP_OVERHEAD)) as usize);
         assert_ne!(ds[0].node, ds[1].node);
-    }
-}
-
-#[cfg(test)]
-mod floor_tests {
-    use super::*;
-    use crate::tests_support::*;
-
-    #[test]
-    fn floors_prevent_lowering() {
-        let cfg = EngineConfig::default();
-        let j1 = hash_join(scan("a", 10_000.0, 100.0), scan("b", 100.0, 10.0), 10_000.0);
-        let mut plan = hash_join(j1, scan("c", 100.0, 10.0), 10_000.0);
-        plan.children[0].annot.est_row_bytes = 100.0;
-        plan.assign_ids();
-        let mm = MemoryManager::with_budget(4 << 20);
-        let first = mm.allocate(&mut plan, &cfg).unwrap();
-        let node = first.grants[1].node;
-        let old = first.grants[1].granted;
-
-        // Estimates collapse: without a floor the grant would shrink.
-        plan.children[0].annot.est_rows = 100.0;
-        let mut floors = HashMap::new();
-        floors.insert(node, old);
-        let second = mm
-            .reallocate_with_floors(&mut plan, &cfg, &HashSet::new(), &HashSet::new(), &floors)
-            .unwrap();
-        assert!(second.grant_for(node).unwrap().granted >= old);
-
-        // And without the floor it does shrink.
-        let third = mm
-            .reallocate(&mut plan, &cfg, &HashSet::new(), &HashSet::new())
-            .unwrap();
-        assert!(third.grant_for(node).unwrap().granted < old);
     }
 }
 

@@ -7,7 +7,7 @@
 //! grant. These are the §2.3 contract; every re-allocation decision the
 //! controller makes relies on them.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use proptest::prelude::*;
 
@@ -136,52 +136,14 @@ proptest! {
         prop_assert!(total <= mm.budget());
     }
 
-    /// With floors set to the previous grants, no grant ever decreases —
-    /// the controller's monotone-grants policy.
-    #[test]
-    fn floors_make_grants_monotone(
-        mut plan in arb_plan(),
-        budget_kb in 256usize..16_384,
-        shrink in 0.05..1.0f64,
-    ) {
-        let cfg = EngineConfig::default();
-        let mm = MemoryManager::with_budget(budget_kb * 1024);
-        let Ok(first) = mm.allocate(&mut plan, &cfg) else { return Ok(()) };
-
-        let floors: HashMap<_, _> = first
-            .grants
-            .iter()
-            .map(|g| (g.node, g.granted))
-            .collect();
-        plan.walk_mut(&mut |n| {
-            n.annot.est_rows = (n.annot.est_rows * shrink).max(1.0);
-        });
-        let Ok(second) = mm.reallocate_with_floors(
-            &mut plan,
-            &cfg,
-            &HashSet::new(),
-            &HashSet::new(),
-            &floors,
-        ) else {
-            return Ok(());
-        };
-        for g in &second.grants {
-            prop_assert!(
-                g.granted >= floors[&g.node],
-                "grant shrank under a floor: {g:?} floor {}",
-                floors[&g.node]
-            );
-        }
-    }
-
     /// Marking an operator finished frees its memory. An individual
     /// grant may legitimately move in either direction — with more
     /// budget the greedy pass can suddenly afford some operator's full
     /// maximum, diverting leftover that another operator used to
     /// receive as a partial — but the *total* granted to the survivors
-    /// never decreases, and every grant stays within its band. (The
-    /// controller's floors, tested above, are what protect an
-    /// individual operator from regression in a live query.)
+    /// never decreases, and every grant stays within its band. (In a
+    /// live query the controller keeps the larger of the old and the
+    /// new grant, so an individual operator never regresses.)
     #[test]
     fn finishing_frees_memory(
         mut plan in arb_plan(),

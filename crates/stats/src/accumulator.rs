@@ -4,9 +4,11 @@
 //! statistics-collector operator (§2.2) observe a stream of values and
 //! must produce, in a single pass with bounded memory: row count,
 //! average size, min/max, a histogram (from a reservoir sample) and a
-//! distinct-count estimate (FM sketch). This type packages that recipe.
+//! distinct-count estimate (FM sketch). [`ColumnAccumulator`] packages
+//! that recipe for one column; [`StreamStats`] runs it over whole rows,
+//! adding the row count and encoded width.
 
-use mq_common::Value;
+use mq_common::{Row, Value};
 
 use crate::distinct::FmSketch;
 use crate::histogram::{Histogram, HistogramKind};
@@ -146,7 +148,7 @@ impl ColumnAccumulator {
                 distinct,
             );
             // The accumulator knows the true stream length; record it
-            // as the histogram's merge weight.
+            // as the histogram's weight.
             h.set_weight(self.rows as f64);
             Some(h)
         };
@@ -170,6 +172,78 @@ impl ColumnAccumulator {
         } else {
             (2.0 * self.nondecreasing as f64 / self.pairs as f64 - 1.0).abs()
         }
+    }
+}
+
+/// One-pass statistics over a row stream: row count, encoded bytes and
+/// one [`ColumnAccumulator`] per watched column. ANALYZE,
+/// materialization and the statistics collector all observe through
+/// this type; each picks its own column positions and seeds.
+#[derive(Debug, Clone)]
+pub struct StreamStats {
+    rows: u64,
+    bytes: u64,
+    cols: Vec<(usize, ColumnAccumulator)>,
+}
+
+impl StreamStats {
+    /// Watch the columns at the given `(position, seed)` pairs, each
+    /// sampled into a reservoir of `reservoir` items.
+    pub fn new(cols: impl IntoIterator<Item = (usize, u64)>, reservoir: usize) -> StreamStats {
+        StreamStats {
+            rows: 0,
+            bytes: 0,
+            cols: cols
+                .into_iter()
+                .map(|(pos, seed)| (pos, ColumnAccumulator::new(reservoir, seed)))
+                .collect(),
+        }
+    }
+
+    /// Observe one row. Returns the CPU operations the watched columns
+    /// cost (see [`ColumnAccumulator::observe`]).
+    pub fn observe(&mut self, row: &Row) -> u64 {
+        self.rows += 1;
+        self.bytes += row.encoded_len() as u64;
+        self.cols
+            .iter_mut()
+            .map(|(pos, acc)| acc.observe(row.get(*pos)))
+            .sum()
+    }
+
+    /// Merge another stream over the same columns into this one, as if
+    /// this stream had observed `self`'s rows followed by `other`'s
+    /// (see [`ColumnAccumulator::merge`]).
+    pub fn merge(&mut self, other: &StreamStats) {
+        debug_assert_eq!(self.cols.len(), other.cols.len());
+        self.rows += other.rows;
+        self.bytes += other.bytes;
+        for ((_, a), (_, b)) in self.cols.iter_mut().zip(&other.cols) {
+            a.merge(b);
+        }
+    }
+
+    /// Rows observed.
+    pub fn rows(&self) -> u64 {
+        self.rows
+    }
+
+    /// Average encoded row width in bytes (0 for an empty stream).
+    pub fn avg_row_bytes(&self) -> f64 {
+        if self.rows > 0 {
+            self.bytes as f64 / self.rows as f64
+        } else {
+            0.0
+        }
+    }
+
+    /// Finalize every watched column, in the order given to
+    /// [`StreamStats::new`].
+    pub fn finish(&self, kind: HistogramKind, buckets: usize) -> Vec<ObservedColumn> {
+        self.cols
+            .iter()
+            .map(|(_, acc)| acc.finish(kind, buckets))
+            .collect()
     }
 }
 

@@ -20,8 +20,6 @@
 
 use std::fmt;
 
-use mq_common::Value;
-
 /// The histogram construction algorithm used.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HistogramKind {
@@ -89,10 +87,11 @@ pub struct Histogram {
     max: f64,
     null_frac: f64,
     distinct: f64,
-    /// Number of rows (including nulls) this histogram summarizes;
-    /// the mass basis for [`Histogram::merge`]. Estimated from the
-    /// sample by [`Histogram::build`]; callers that know the true
+    /// Number of rows (including nulls) this histogram summarizes, so
+    /// `frac × weight` recovers a bucket's row count. Estimated from
+    /// the sample by [`Histogram::build`]; callers that know the true
     /// stream length should override via [`Histogram::set_weight`].
+    /// Carried in snapshots.
     weight: f64,
 }
 
@@ -171,23 +170,6 @@ impl Histogram {
         }
     }
 
-    /// Build from [`Value`]s directly (nulls counted, others ranked).
-    pub fn build_from_values(
-        kind: HistogramKind,
-        values: &[Value],
-        nbuckets: usize,
-        total_distinct: f64,
-    ) -> Histogram {
-        let nulls = values.iter().filter(|v| v.is_null()).count();
-        let ranks: Vec<f64> = values.iter().filter_map(Value::as_f64).collect();
-        let null_frac = if values.is_empty() {
-            0.0
-        } else {
-            nulls as f64 / values.len() as f64
-        };
-        Histogram::build(kind, &ranks, nbuckets, null_frac, total_distinct)
-    }
-
     /// Reassemble a histogram from previously captured parts (the
     /// getters' view) — the snapshot restore path. No re-derivation
     /// happens: the caller is trusted to hand back exactly what
@@ -247,8 +229,8 @@ impl Histogram {
         self.buckets.is_empty()
     }
 
-    /// The number of rows this histogram summarizes (the mass basis
-    /// used by [`Histogram::merge`]).
+    /// The number of rows this histogram summarizes (the mass basis:
+    /// `frac × weight` is a bucket's row count).
     pub fn weight(&self) -> f64 {
         self.weight
     }
@@ -260,98 +242,6 @@ impl Histogram {
         if rows.is_finite() && rows >= 0.0 {
             self.weight = rows;
         }
-    }
-
-    /// Merge another histogram into this one, weighting each side by
-    /// the number of rows it summarizes. Bucket boundaries become the
-    /// union of both sides'; overlapping buckets split their mass
-    /// proportionally to span overlap (continuous-uniform assumption),
-    /// so the merge is **exact** whenever boundaries align — in
-    /// particular for singleton buckets (MaxDiff/V-optimal/end-biased
-    /// on small domains). Distinct counts take the max per merged
-    /// bucket (a lower bound; the FM sketch is the exact-merging
-    /// distinct authority).
-    pub fn merge(&mut self, other: &Histogram) {
-        let w1 = self.weight.max(0.0);
-        let w2 = other.weight.max(0.0);
-        if w2 <= 0.0 && other.buckets.is_empty() {
-            return;
-        }
-        if w1 <= 0.0 && self.buckets.is_empty() {
-            let kind = self.kind;
-            *self = other.clone();
-            self.kind = kind;
-            return;
-        }
-        let w = w1 + w2;
-        let self_had_domain = !self.buckets.is_empty();
-        // Atoms: (lo, hi, absolute mass, distinct).
-        let mut atoms: Vec<(f64, f64, f64, f64)> = Vec::new();
-        for b in &self.buckets {
-            atoms.push((b.lo, b.hi, b.frac * w1, b.distinct));
-        }
-        for b in &other.buckets {
-            atoms.push((b.lo, b.hi, b.frac * w2, b.distinct));
-        }
-        // Union of boundaries; split every interval atom at the cut
-        // points that fall strictly inside it.
-        let mut cuts: Vec<f64> = atoms.iter().flat_map(|a| [a.0, a.1]).collect();
-        cuts.sort_by(f64::total_cmp);
-        cuts.dedup();
-        let mut pieces: Vec<(f64, f64, f64, f64)> = Vec::new();
-        for &(lo, hi, mass, distinct) in &atoms {
-            if lo == hi {
-                pieces.push((lo, hi, mass, distinct));
-                continue;
-            }
-            let span = hi - lo;
-            let mut prev = lo;
-            for &c in cuts.iter().filter(|&&c| c > lo && c < hi) {
-                let f = (c - prev) / span;
-                pieces.push((prev, c, mass * f, (distinct * f).max(1.0)));
-                prev = c;
-            }
-            let f = (hi - prev) / span;
-            pieces.push((prev, hi, mass * f, (distinct * f).max(1.0)));
-        }
-        pieces.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
-        let mut buckets: Vec<Bucket> = Vec::new();
-        for (lo, hi, mass, distinct) in pieces {
-            match buckets.last_mut() {
-                Some(b) if b.lo == lo && b.hi == hi => {
-                    b.frac += mass;
-                    b.distinct = b.distinct.max(distinct);
-                }
-                _ => buckets.push(Bucket {
-                    lo,
-                    hi,
-                    frac: mass,
-                    distinct,
-                }),
-            }
-        }
-        if w > 0.0 {
-            for b in &mut buckets {
-                b.frac /= w;
-            }
-        }
-        self.buckets = buckets;
-        if !other.buckets.is_empty() {
-            if self_had_domain {
-                self.min = self.min.min(other.min);
-                self.max = self.max.max(other.max);
-            } else {
-                self.min = other.min;
-                self.max = other.max;
-            }
-        }
-        self.null_frac = if w > 0.0 {
-            ((self.null_frac * w1 + other.null_frac * w2) / w).clamp(0.0, 1.0)
-        } else {
-            self.null_frac
-        };
-        self.distinct = self.distinct.max(other.distinct);
-        self.weight = w;
     }
 
     /// Selectivity of `col = rank` as a fraction of all rows.
@@ -420,20 +310,6 @@ impl Histogram {
             }
         }
         total.clamp(0.0, 1.0)
-    }
-
-    /// Mean relative error of this histogram against an exact
-    /// frequency table (diagnostics; used in tests and ablations).
-    pub fn eq_error_against(&self, exact: &[(f64, f64)]) -> f64 {
-        if exact.is_empty() {
-            return 0.0;
-        }
-        let mut err = 0.0;
-        for &(rank, frac) in exact {
-            let est = self.sel_eq(rank);
-            err += (est - frac).abs() / frac.max(1e-9);
-        }
-        err / exact.len() as f64
     }
 }
 
@@ -724,6 +600,19 @@ fn build_end_biased(freq: &[(f64, u64)], n: f64, nbuckets: usize) -> Vec<Bucket>
 mod tests {
     use super::*;
 
+    /// Mean relative error of `h`'s point estimates against an exact
+    /// frequency table.
+    fn eq_error_against(h: &Histogram, exact: &[(f64, f64)]) -> f64 {
+        if exact.is_empty() {
+            return 0.0;
+        }
+        let mut err = 0.0;
+        for &(rank, frac) in exact {
+            err += (h.sel_eq(rank) - frac).abs() / frac.max(1e-9);
+        }
+        err / exact.len() as f64
+    }
+
     fn uniform_sample(n: usize, lo: i64, hi: i64) -> Vec<f64> {
         // Deterministic striped coverage of [lo, hi].
         (0..n)
@@ -828,7 +717,10 @@ mod tests {
         }
         let vopt = Histogram::build(HistogramKind::VOptimal, &sample, 12, 0.0, 100.0);
         let ew = Histogram::build(HistogramKind::EquiWidth, &sample, 12, 0.0, 100.0);
-        let (e_vopt, e_ew) = (vopt.eq_error_against(&exact), ew.eq_error_against(&exact));
+        let (e_vopt, e_ew) = (
+            eq_error_against(&vopt, &exact),
+            eq_error_against(&ew, &exact),
+        );
         assert!(
             e_vopt <= e_ew + 1e-9,
             "v-optimal {e_vopt} vs equi-width {e_ew}"
@@ -915,16 +807,6 @@ mod tests {
     }
 
     #[test]
-    fn build_from_values_counts_nulls() {
-        let mut vals: Vec<Value> = (0..90).map(Value::Int).collect();
-        vals.extend(std::iter::repeat_n(Value::Null, 10));
-        let h = Histogram::build_from_values(HistogramKind::EquiWidth, &vals, 8, 90.0);
-        assert!((h.null_frac() - 0.1).abs() < 1e-12);
-        let total = h.sel_range(None, None);
-        assert!((total - 0.9).abs() < 0.02, "total {total}");
-    }
-
-    #[test]
     fn skew_hurts_equi_width_less_than_endbiased() {
         // Heavy skew: value 0 appears 90% of the time.
         let mut sample = vec![0.0; 9000];
@@ -934,84 +816,12 @@ mod tests {
         let exact: Vec<(f64, f64)> = vec![(0.0, 0.9), (50.0, 0.001)];
         let ew = Histogram::build(HistogramKind::EquiWidth, &sample, 8, 0.0, 101.0);
         let eb = Histogram::build(HistogramKind::EndBiased, &sample, 8, 0.0, 101.0);
-        let err_ew = ew.eq_error_against(&exact);
-        let err_eb = eb.eq_error_against(&exact);
+        let err_ew = eq_error_against(&ew, &exact);
+        let err_eb = eq_error_against(&eb, &exact);
         assert!(
             err_eb < err_ew,
             "end-biased {err_eb} should beat equi-width {err_ew} under skew"
         );
-    }
-
-    #[test]
-    fn merge_of_splits_equals_whole_for_singleton_buckets() {
-        // Small domain ⇒ MaxDiff gives exact singleton buckets; the
-        // merged splits must reproduce the whole-input histogram's
-        // bucket fractions exactly (up to fp round-off).
-        let whole: Vec<f64> = (0..900).map(|i| (i % 9) as f64).collect();
-        let (a, b) = whole.split_at(333);
-        let hw = Histogram::build(HistogramKind::MaxDiff, &whole, 16, 0.0, 9.0);
-        let mut ha = Histogram::build(HistogramKind::MaxDiff, a, 16, 0.0, 9.0);
-        let hb = Histogram::build(HistogramKind::MaxDiff, b, 16, 0.0, 9.0);
-        ha.merge(&hb);
-        assert_eq!(ha.buckets().len(), hw.buckets().len());
-        for (ba, bw) in ha.buckets().iter().zip(hw.buckets()) {
-            assert_eq!(ba.lo, bw.lo);
-            assert_eq!(ba.hi, bw.hi);
-            assert!(
-                (ba.frac - bw.frac).abs() < 1e-9,
-                "frac {} vs {}",
-                ba.frac,
-                bw.frac
-            );
-        }
-        assert!((ha.weight() - hw.weight()).abs() < 1e-9);
-        assert_eq!(ha.min(), hw.min());
-        assert_eq!(ha.max(), hw.max());
-    }
-
-    #[test]
-    fn merge_weights_null_fraction() {
-        let a = uniform_sample(100, 0, 9);
-        let b = uniform_sample(300, 0, 9);
-        let mut ha = Histogram::build(HistogramKind::EquiDepth, &a, 4, 0.5, 10.0);
-        let hb = Histogram::build(HistogramKind::EquiDepth, &b, 4, 0.0, 10.0);
-        // Weights: 100/(1-0.5)=200 rows and 300 rows ⇒ merged null
-        // fraction (0.5·200 + 0·300)/500 = 0.2.
-        ha.merge(&hb);
-        assert!((ha.null_frac() - 0.2).abs() < 1e-9, "nf {}", ha.null_frac());
-        // Mass (non-null) is conserved: 100 + 300 of 500 rows.
-        let mass: f64 = ha.buckets().iter().map(|x| x.frac).sum();
-        assert!((mass - 0.8).abs() < 1e-9, "mass {mass}");
-    }
-
-    #[test]
-    fn merge_overlapping_interval_buckets_conserves_mass() {
-        let a = uniform_sample(4000, 0, 999);
-        let b = uniform_sample(2000, 500, 1499);
-        let mut ha = Histogram::build(HistogramKind::EquiDepth, &a, 8, 0.0, 1000.0);
-        let hb = Histogram::build(HistogramKind::EquiDepth, &b, 8, 0.0, 1000.0);
-        ha.merge(&hb);
-        let mass: f64 = ha.buckets().iter().map(|x| x.frac).sum();
-        assert!((mass - 1.0).abs() < 1e-9, "mass {mass}");
-        assert_eq!(ha.min(), 0.0);
-        assert_eq!(ha.max(), 1499.0);
-        // Two thirds of all rows came from the first sample's domain
-        // half [0, 500): they must still be found there.
-        let lower = ha.sel_range(Some(0.0), Some(499.0));
-        assert!((lower - 4000.0 / 12000.0).abs() < 0.08, "lower {lower}");
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let sample = uniform_sample(500, 0, 49);
-        let mut h = Histogram::build(HistogramKind::MaxDiff, &sample, 8, 0.0, 50.0);
-        let before = h.clone();
-        h.merge(&Histogram::build(HistogramKind::MaxDiff, &[], 8, 0.0, 0.0));
-        assert_eq!(h, before);
-        let mut empty = Histogram::build(HistogramKind::MaxDiff, &[], 8, 0.0, 0.0);
-        empty.merge(&before);
-        assert_eq!(empty.buckets(), before.buckets());
-        assert_eq!(empty.weight(), before.weight());
     }
 
     #[test]

@@ -15,8 +15,10 @@
 //!   attributes at run time;
 //! * [`zipf::Zipf`] — the generalized Zipfian generator used to skew
 //!   the TPC-D data for the Figure 12 experiment;
-//! * [`accumulator::ColumnAccumulator`] — the one-pass per-column
-//!   observer shared by ANALYZE and the runtime statistics-collector
+//! * [`accumulator::StreamStats`] — the one-pass statistics recipe
+//!   (row count, average row width, and a
+//!   [`accumulator::ColumnAccumulator`] per watched column) shared by
+//!   ANALYZE, materialization and the runtime statistics-collector
 //!   operator.
 
 pub mod accumulator;
@@ -25,7 +27,9 @@ pub mod histogram;
 pub mod reservoir;
 pub mod zipf;
 
-pub use accumulator::{ColumnAccumulator, ObservedColumn, HISTOGRAM_BUCKETS, RESERVOIR_SIZE};
+pub use accumulator::{
+    ColumnAccumulator, ObservedColumn, StreamStats, HISTOGRAM_BUCKETS, RESERVOIR_SIZE,
+};
 pub use distinct::FmSketch;
 pub use histogram::{Bucket, Histogram, HistogramKind};
 pub use reservoir::Reservoir;

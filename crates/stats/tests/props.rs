@@ -1,7 +1,9 @@
 //! Property tests for the statistics substrate: histogram invariants,
-//! reservoir bounds, sketch bounds, Zipf normalization.
+//! reservoir bounds, sketch bounds, Zipf normalization, and the
+//! split-and-merge law of the one-pass stream statistics.
 
-use mq_stats::{FmSketch, Histogram, HistogramKind, Reservoir, Zipf};
+use mq_common::{Row, Value};
+use mq_stats::{FmSketch, Histogram, HistogramKind, Reservoir, StreamStats, Zipf};
 use proptest::prelude::*;
 
 fn kinds() -> impl Strategy<Value = HistogramKind> {
@@ -143,6 +145,78 @@ proptest! {
         let mut rng = mq_common::DetRng::new(seed ^ 1);
         for _ in 0..200 {
             prop_assert!(zipf.sample(&mut rng) < n);
+        }
+    }
+
+    /// Splitting a row stream at any point and merging the two halves
+    /// gives the single pass's row count and average width and, while
+    /// the reservoirs hold every value, the same finished columns. The
+    /// one exception is clustering, which loses the one pair that
+    /// straddles the split.
+    #[test]
+    fn stream_stats_merge_of_splits_matches_single_pass(
+        cells in prop::collection::vec((0i64..60, 0u8..20), 0..300),
+        split in 0usize..300,
+        reservoir in 1usize..400,
+    ) {
+        // Ints of 50 and above stand for NULL.
+        let rows: Vec<Row> = cells
+            .iter()
+            .map(|&(n, w)| {
+                let n = if n >= 50 { Value::Null } else { Value::Int(n) };
+                Row::new(vec![n, Value::str("x".repeat(w as usize))])
+            })
+            .collect();
+        let cols = [(0, 11), (1, 12)];
+        let mut whole = StreamStats::new(cols, reservoir);
+        let mut ops = 0;
+        for r in &rows {
+            ops += whole.observe(r);
+        }
+        let (a, b) = rows.split_at(split.min(rows.len()));
+        let mut left = StreamStats::new(cols, reservoir);
+        let mut right = StreamStats::new([(0, 21), (1, 22)], reservoir);
+        let mut split_ops = 0;
+        for r in a {
+            split_ops += left.observe(r);
+        }
+        for r in b {
+            split_ops += right.observe(r);
+        }
+        left.merge(&right);
+
+        prop_assert_eq!(split_ops, ops);
+        prop_assert_eq!(left.rows(), whole.rows());
+        prop_assert_eq!(left.rows(), rows.len() as u64);
+        prop_assert!((left.avg_row_bytes() - whole.avg_row_bytes()).abs() < 1e-9);
+        if rows.len() > reservoir {
+            return Ok(());
+        }
+        let merged = left.finish(HistogramKind::MaxDiff, 8);
+        let single = whole.finish(HistogramKind::MaxDiff, 8);
+        prop_assert_eq!(merged.len(), 2);
+        for (m, w) in merged.iter().zip(&single) {
+            prop_assert_eq!(m.rows, w.rows);
+            prop_assert_eq!(m.null_frac, w.null_frac);
+            prop_assert_eq!(&m.min, &w.min);
+            prop_assert_eq!(&m.max, &w.max);
+            prop_assert_eq!(m.distinct, w.distinct);
+            prop_assert_eq!(&m.histogram, &w.histogram);
+        }
+        // The clustering score moves by at most 2/(pairs − 1) when one
+        // of the single pass's consecutive non-null pairs is dropped.
+        let ranked = [
+            rows.iter().filter(|r| !r.get(0).is_null()).count(),
+            rows.len(),
+        ];
+        for ((m, w), k) in merged.iter().zip(&single).zip(ranked) {
+            let tol = 2.0 / k.saturating_sub(2).max(1) as f64;
+            prop_assert!(
+                (m.clustering - w.clustering).abs() <= tol + 1e-12,
+                "clustering {} vs {}",
+                m.clustering,
+                w.clustering
+            );
         }
     }
 }

@@ -90,8 +90,8 @@ pub use mq_common::{EngineConfig, MqError, Result};
 pub use mq_plan::LogicalPlan;
 pub use mq_reopt::SnapshotReport;
 pub use mq_reopt::{
-    explain_analyze, explain_plan, normalize, Engine, ExecRequest, NormalizedQuery, PlanCacheStats,
-    PlanSource, QueryOutcome, RecoveryReport, ReoptMode,
+    explain_analyze, normalize, Engine, ExecRequest, NormalizedQuery, PlanCacheStats, PlanSource,
+    QueryOutcome, RecoveryReport, ReoptMode,
 };
 pub use mq_runtime::{JobResult, Runtime, Session, Workload, WorkloadQuery, WorkloadReport};
 pub use mq_tpcd::TpcdConfig;

@@ -107,6 +107,35 @@ fn stale_catalog_complex_queries_still_correct() {
     }
 }
 
+/// The controller only ever raises a memory grant: re-allocation on a
+/// stale catalog fires, and every grant change it records is upward.
+#[test]
+fn stale_catalog_grant_changes_only_raise() {
+    let db = load_db(0.002, 0.3);
+    let mut changes = 0;
+    for (name, q) in queries::all() {
+        for mode in [ReoptMode::MemoryOnly, ReoptMode::Full] {
+            let out = db
+                .query_plan(&q)
+                .mode(mode)
+                .run()
+                .unwrap_or_else(|e| panic!("{name} {mode}: {e}"));
+            for e in &out.events {
+                if let midq::obs::ObsEvent::GrantChange {
+                    old_bytes,
+                    new_bytes,
+                    ..
+                } = e
+                {
+                    changes += 1;
+                    assert!(new_bytes > old_bytes, "{name} {mode}: {e}");
+                }
+            }
+        }
+    }
+    assert!(changes > 0, "no grant change on a stale catalog");
+}
+
 #[test]
 fn q1_aggregate_values_are_sane() {
     let db = load_db(0.002, 1.0);
