@@ -22,6 +22,7 @@ pub mod recovery;
 
 use midq::common::EngineConfig;
 use midq::obs::ObsEvent;
+use midq::reopt::explain::exchange_stages;
 use midq::tpcd::{queries, TpcdConfig};
 use midq::{Database, QueryOutcome, ReoptMode};
 
@@ -735,21 +736,29 @@ fn par_point(db: &Database, query: &'static str, partitions: usize) -> ParPoint 
         .partitions(partitions)
         .run()
         .unwrap_or_else(|e| panic!("{query} P={partitions}: {e}"));
-    let par = out.par.expect("partitioned outcome carries a report");
-    let worst = par
-        .skew
+    let stages = exchange_stages(&out);
+    let skew: Vec<(f64, f64)> = stages
         .iter()
-        .max_by(|a, b| a.ratio.total_cmp(&b.ratio))
-        .map(|s| (s.ratio, s.after_ratio))
+        .filter_map(|s| match s.skew {
+            Some(ObsEvent::SkewVerdict {
+                ratio, after_ratio, ..
+            }) => Some((*ratio, *after_ratio)),
+            _ => None,
+        })
+        .collect();
+    let worst = skew
+        .iter()
+        .copied()
+        .max_by(|a, b| a.0.total_cmp(&b.0))
         .unwrap_or((1.0, 1.0));
     ParPoint {
         partitions,
         time_ms: out.time_ms,
-        saved_ms: par.saved_ms,
+        saved_ms: out.parallel_saved_ms,
         io_pages: out.cost.pages_read + out.cost.pages_written,
         cpu_ops: out.cost.cpu_ops,
-        exchanges: par.exchanges.len(),
-        skew_verdicts: par.skew.len(),
+        exchanges: stages.len(),
+        skew_verdicts: skew.len(),
         worst_skew: worst,
         rows: out.rows.len(),
     }

@@ -65,6 +65,14 @@ impl TableEntry {
     }
 }
 
+/// Whether `name` is reserved for a query-local table: a re-optimizer
+/// temp (`tmp_reopt_*`) or a cache materialization (`cache_*`). Those
+/// register through [`Catalog::register_materialized`] and are never
+/// persisted, so [`Catalog::create_table`] refuses such names.
+pub fn is_query_local(name: &str) -> bool {
+    name.starts_with("tmp_reopt_") || name.starts_with("cache_")
+}
+
 /// The catalog: a shared registry of tables.
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
@@ -86,13 +94,19 @@ impl Catalog {
     }
 
     /// Create a table with bare-named fields (they get qualified with
-    /// the table name), backed by a fresh heap file.
+    /// the table name), backed by a fresh heap file. Names reserved for
+    /// query-local tables ([`is_query_local`]) are refused.
     pub fn create_table(
         &self,
         storage: &Storage,
         name: &str,
         columns: Vec<(&str, DataType)>,
     ) -> Result<TableId> {
+        if is_query_local(name) {
+            return Err(MqError::SchemaError(format!(
+                "table name {name} is reserved for query-local tables"
+            )));
+        }
         let mut inner = self.inner.lock();
         if inner.tables.contains_key(name) {
             return Err(MqError::AlreadyExists(format!("table {name}")));
@@ -265,6 +279,26 @@ impl Catalog {
     /// stale.
     pub fn data_version(&self, table: &str) -> Option<u64> {
         self.inner.lock().tables.get(table).map(|t| t.data_version)
+    }
+
+    /// The data versions a result computed from `tables` depends on, as
+    /// (table, version) pairs — or `None` when the result is not a pure
+    /// function of base data: a table is query-local or unknown.
+    pub fn base_deps(&self, tables: &[String]) -> Option<Vec<(String, u64)>> {
+        tables
+            .iter()
+            .map(|t| {
+                let v = self.data_version(t).filter(|_| !is_query_local(t))?;
+                Some((t.clone(), v))
+            })
+            .collect()
+    }
+
+    /// Whether every table in `deps` is still at its recorded data
+    /// version — the freshness rule for anything derived from base
+    /// data (cache entries, plan templates, cardinality feedback).
+    pub fn deps_current(&self, deps: &[(String, u64)]) -> bool {
+        deps.iter().all(|(t, v)| self.data_version(t) == Some(*v))
     }
 
     /// The catalog-global data-version epoch. Snapshots record it so a
@@ -541,6 +575,32 @@ mod tests {
         assert!(cat
             .create_table(&st, "nums", vec![("x", DataType::Int)])
             .is_err());
+    }
+
+    #[test]
+    fn base_deps_cover_only_known_base_tables_and_go_stale_on_write() {
+        let (cat, st) = setup();
+        load_numbers(&cat, &st, 1);
+        assert!(matches!(
+            cat.create_table(&st, "cache_x", vec![("x", DataType::Int)]),
+            Err(MqError::SchemaError(_))
+        ));
+        let schema = cat.table("nums").unwrap().schema;
+        let stats = TableStats::default();
+        cat.register_materialized("tmp_reopt_q1_1", st.create_file(), schema, stats)
+            .unwrap();
+        let names = |ns: &[&str]| ns.iter().map(|n| n.to_string()).collect::<Vec<_>>();
+        assert!(cat.base_deps(&names(&["nums", "tmp_reopt_q1_1"])).is_none());
+        assert!(cat.base_deps(&names(&["nums", "missing"])).is_none());
+        let deps = cat.base_deps(&names(&["nums"])).unwrap();
+        assert_eq!(
+            deps,
+            vec![("nums".to_string(), cat.data_version("nums").unwrap())]
+        );
+        assert!(cat.deps_current(&deps));
+        cat.insert_row(&st, "nums", Row::new(vec![Value::Int(1), Value::Int(1)]))
+            .unwrap();
+        assert!(!cat.deps_current(&deps));
     }
 
     #[test]

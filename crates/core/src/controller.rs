@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 use mq_catalog::{Catalog, ColumnStats, TableStats};
 use mq_common::{EngineConfig, MqError, Result, SimClock};
-use mq_exec::{ExecMonitor, ObservedStats};
+use mq_exec::{EventLog, ExecMonitor, ObservedStats};
 use mq_memory::MemoryManager;
 use mq_optimizer::{materialize_cost, recost, OptCalibration, Optimizer};
 use mq_plan::{LogicalPlan, NodeId, PhysOp, PhysPlan};
@@ -72,20 +72,12 @@ struct CtrlState {
     finished_consumers: HashSet<NodeId>,
     pending: Option<PendingSwitch>,
     suppressed: bool,
-    events: Vec<ObsEvent>,
+    /// Memory re-allocations that changed at least one grant. Kept as a
+    /// counter because one re-allocation round records one
+    /// `GrantChange` event per changed grant, so the round count cannot
+    /// be read back from the event log.
     reallocs: u32,
-    collector_reports: u32,
     temp_counter: u32,
-    switches_done: u32,
-}
-
-impl CtrlState {
-    /// Buffer `ev` for the query's outcome and emit it to any scoped
-    /// observability sink.
-    fn record(&mut self, ev: ObsEvent) {
-        mq_obs::emit(|| ev.clone());
-        self.events.push(ev);
-    }
 }
 
 /// The runtime controller; shared (`Rc`) between the engine and the
@@ -102,6 +94,10 @@ pub struct ReoptController {
     mm: MemoryManager,
     clock: SimClock,
     grants: Arc<Mutex<HashMap<NodeId, usize>>>,
+    /// The query's event log (shared with the execution context): the
+    /// controller's decisions are recorded here, and the plan-switch
+    /// cap counts the accepted switches in it.
+    log: EventLog,
     state: RefCell<CtrlState>,
     /// Temp-table name prefix, unique per query execution so
     /// concurrent Full-mode queries never collide in the shared
@@ -124,6 +120,7 @@ impl ReoptController {
         mm: MemoryManager,
         clock: SimClock,
         grants: Arc<Mutex<HashMap<NodeId, usize>>>,
+        log: EventLog,
         temp_prefix: String,
     ) -> ReoptController {
         ReoptController {
@@ -136,6 +133,7 @@ impl ReoptController {
             mm,
             clock,
             grants,
+            log,
             state: RefCell::new(CtrlState::default()),
             temp_prefix,
             max_switches: 2,
@@ -143,31 +141,21 @@ impl ReoptController {
     }
 
     /// Reset per-attempt state and install the plan about to execute.
-    /// Query-lifetime counters (switches, reallocs, reports, events,
-    /// temp numbering) survive across attempts.
+    /// The re-allocation count and temp numbering survive across
+    /// attempts.
     pub fn begin_attempt(&self, plan: PhysPlan) {
         let mut st = self.state.borrow_mut();
-        let temp_counter = st.temp_counter;
-        let switches_done = st.switches_done;
-        let reallocs = st.reallocs;
-        let collector_reports = st.collector_reports;
-        let events = std::mem::take(&mut st.events);
         *st = CtrlState {
             plan: Some(plan),
-            temp_counter,
-            switches_done,
-            reallocs,
-            collector_reports,
-            events,
+            temp_counter: st.temp_counter,
+            reallocs: st.reallocs,
             ..CtrlState::default()
         };
     }
 
     /// Take the decided switch (engine side, after the unwind).
     pub fn take_pending(&self) -> Option<PendingSwitch> {
-        let mut st = self.state.borrow_mut();
-        st.switches_done += 1;
-        st.pending.take()
+        self.state.borrow_mut().pending.take()
     }
 
     /// Suppress decisions (used while draining the cut subtree).
@@ -175,27 +163,9 @@ impl ReoptController {
         self.state.borrow_mut().suppressed = v;
     }
 
-    /// The query's recorded events (drained by the engine into the
-    /// outcome).
-    pub fn take_events(&self) -> Vec<ObsEvent> {
-        std::mem::take(&mut self.state.borrow_mut().events)
-    }
-
-    /// Record an engine-side decision (plan-cache, cache, feedback,
-    /// segment retry) in the query's event buffer and emit it.
-    pub fn record(&self, ev: ObsEvent) {
-        self.state.borrow_mut().record(ev);
-    }
-
-    /// (memory re-allocations, collector reports) so far.
-    pub fn counters(&self) -> (u32, u32) {
-        let st = self.state.borrow();
-        (st.reallocs, st.collector_reports)
-    }
-
-    /// Number of accepted plan switches so far.
-    pub fn switches(&self) -> u32 {
-        self.state.borrow().switches_done
+    /// Memory re-allocations so far that changed at least one grant.
+    pub fn reallocs(&self) -> u32 {
+        self.state.borrow().reallocs
     }
 
     /// Complete collector observations of the current (final) attempt,
@@ -284,7 +254,7 @@ impl ReoptController {
                 if let Some(p) = st.plan.as_mut().and_then(|p| p.find_mut(g.node)) {
                     p.annot.mem_grant_bytes = g.granted;
                 }
-                st.record(ObsEvent::GrantChange {
+                self.log.record(ObsEvent::GrantChange {
                     node: g.node.0 as u64,
                     old_bytes: old as u64,
                     new_bytes: g.granted as u64,
@@ -307,7 +277,7 @@ impl ReoptController {
         if plan.id == node {
             return Ok(None); // nothing above the cut
         }
-        if st.switches_done >= self.max_switches {
+        if self.log.counts().plan_switches >= self.max_switches {
             return Ok(None);
         }
         // Remaining-time estimates, excluding completed work.
@@ -351,7 +321,7 @@ impl ReoptController {
             divergence: stat_divergence,
         };
         if degradation <= self.cfg.theta2 && stat_divergence <= self.cfg.theta2 {
-            st.record(reopt(
+            self.log.record(reopt(
                 ReoptVerdict::BelowThreshold,
                 0.0,
                 0.0,
@@ -372,7 +342,8 @@ impl ReoptController {
         // left of the query.
         let t_opt_est = self.calibration.estimate_ms(joins, &self.cfg);
         if t_opt_est / t_cur_improved > self.cfg.theta1 {
-            st.record(reopt(ReoptVerdict::Eq1Skip, t_opt_est, 0.0, t_cur_improved));
+            self.log
+                .record(reopt(ReoptVerdict::Eq1Skip, t_opt_est, 0.0, t_cur_improved));
             return Ok(None);
         }
 
@@ -391,7 +362,7 @@ impl ReoptController {
             stats,
         )?;
 
-        let mut decide = || -> Result<Option<PendingSwitch>> {
+        let decide = || -> Result<Option<PendingSwitch>> {
             let remainder = remainder_query(&plan, node, &temp_name)?;
 
             // Symmetric basis: price *continuing with the current plan
@@ -483,7 +454,7 @@ impl ReoptController {
             // coins near break-even; the margin keeps only switches
             // whose predicted win survives estimate noise.
             if (t_new + t_mat) * self.cfg.switch_margin < t_cur_basis {
-                st.record(reopt(
+                self.log.record(reopt(
                     ReoptVerdict::Accept,
                     t_new + t_mat,
                     t_mat,
@@ -495,7 +466,7 @@ impl ReoptController {
                     remainder,
                 }))
             } else {
-                st.record(reopt(
+                self.log.record(reopt(
                     ReoptVerdict::RejectCost,
                     t_new + t_mat,
                     t_mat,
@@ -512,7 +483,7 @@ impl ReoptController {
                 // was running fine); record it — the engine audit flags
                 // any survivor.
                 if self.catalog.drop_table(&temp_name).is_err() {
-                    st.record(ObsEvent::Cleanup {
+                    self.log.record(ObsEvent::Cleanup {
                         temp_tables: 0,
                         temp_files: 0,
                         failures: 1,
@@ -591,7 +562,7 @@ impl ExecMonitor for ReoptController {
             return Ok(());
         }
         st.progress_ratio.insert(node, ratio);
-        st.record(ObsEvent::Collector {
+        self.log.record(ObsEvent::Collector {
             node: node.0 as u64,
             observed_rows: rows,
             estimated_rows: est,
@@ -617,14 +588,13 @@ impl ExecMonitor for ReoptController {
         if st.suppressed {
             return Ok(());
         }
-        st.collector_reports += 1;
         let est = st
             .plan
             .as_ref()
             .and_then(|p| p.find(stats.node))
             .map(|n| n.annot.est_rows)
             .unwrap_or(0.0);
-        st.record(ObsEvent::Collector {
+        self.log.record(ObsEvent::Collector {
             node: stats.node.0 as u64,
             observed_rows: stats.rows,
             estimated_rows: est,

@@ -15,17 +15,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use mq_cache::{CacheEntry, CacheStats, FeedbackStore, PinGuard, SubPlanCache};
-use mq_catalog::{Catalog, TableStats};
+use mq_catalog::{is_query_local, Catalog, TableStats};
 use mq_common::{
     CancelToken, CostSnapshot, EngineConfig, FaultInjector, MqError, Result, Row, Schema, SimClock,
 };
-use mq_exec::{materialize, run_to_vec, ExecContext, OpActuals};
+use mq_exec::{materialize, run_to_vec, EventCounts, EventLog, ExecContext, OpActuals};
 use mq_memory::MemoryManager;
 use mq_obs::{ObsEvent, SegmentOutcome};
 use mq_optimizer::{
     apply_feedback, recost, CardFeedback, GraphFeedbackHit, OptCalibration, Optimized, Optimizer,
 };
-use mq_par::{parallelize, run_partitioned, ParReport, ParSpec};
+use mq_par::{parallelize, run_partitioned, ParSpec};
 use mq_plan::{base_tables, subplan_fingerprint, LogicalPlan, NodeId, PhysOp, PhysPlan, ScanSpec};
 use mq_plancache::{normalize, CachedPlan, Freshness, NormalizedQuery, PlanCache, PlanCacheStats};
 use mq_stats::{HistogramKind, HISTOGRAM_BUCKETS, RESERVOIR_SIZE};
@@ -33,7 +33,7 @@ use mq_storage::Storage;
 use parking_lot::Mutex;
 
 use crate::controller::ReoptController;
-use crate::manifest::{plan_hash, CheckpointRecord, ManifestStore, QueryManifest};
+use crate::manifest::{plan_hash, temp_owner, CheckpointRecord, ManifestStore, QueryManifest};
 use crate::scia::insert_collectors;
 use crate::ReoptMode;
 
@@ -73,10 +73,11 @@ pub struct QueryOutcome {
     pub memory_reallocs: u32,
     /// Statistics-collector reports received.
     pub collector_reports: u32,
-    /// The query's re-optimization decisions and the evidence behind
-    /// them, in order: collector checkpoints, grant changes, re-plan
-    /// verdicts, plan-cache, cache and feedback decisions, segment
-    /// retries. Each renders as one report line via `Display`.
+    /// The query's event log, in order: collector checkpoints, grant
+    /// changes, re-plan verdicts, plan-cache, cache and feedback
+    /// decisions, segment retries, and exchange stages and skew
+    /// verdicts. Each renders as one report line via `Display`; the
+    /// counters above are derived from it.
     pub events: Vec<ObsEvent>,
     /// The plan that produced the final rows (last attempt).
     pub final_plan: PhysPlan,
@@ -85,10 +86,10 @@ pub struct QueryOutcome {
     /// always collected; cpu/io deltas only when an observability sink
     /// was active during the run.
     pub actuals: HashMap<NodeId, OpActuals>,
-    /// Partitioned-execution report (exchange routing, skew verdicts,
-    /// parallel time saved) when the job ran with a [`ParSpec`];
-    /// `None` for serial execution.
-    pub par: Option<ParReport>,
+    /// Simulated milliseconds absorbed by overlapping partitions under
+    /// partitioned execution (already subtracted from
+    /// [`QueryOutcome::time_ms`]); zero for serial execution.
+    pub parallel_saved_ms: f64,
 }
 
 impl QueryOutcome {
@@ -146,9 +147,9 @@ impl QueryOutcome {
 /// [`Engine::default_env`] gives the engine-wide clock and memory
 /// manager with no interrupts, and the runtime builds a per-query one.
 pub struct JobEnv {
-    /// Engine query id: keys the checkpoint manifest, so a crashed
-    /// query can be recovered by id. Must agree with `temp_prefix`
-    /// (both come from [`Engine::next_query_id`]).
+    /// Engine query id (from [`Engine::next_query_id`]): keys the
+    /// checkpoint manifest, so a crashed query can be recovered by id,
+    /// and names the query's temp tables (see [`ManifestStore::begin`]).
     pub query_id: u64,
     /// Clock all of this job's work is charged to (a
     /// [`SimClock::child`] of the engine clock under the runtime, so
@@ -160,9 +161,6 @@ pub struct JobEnv {
     pub cancel: Option<CancelToken>,
     /// Deadline in simulated milliseconds on `clock`.
     pub deadline_ms: Option<f64>,
-    /// Temp-table prefix; must be unique across concurrently running
-    /// queries (the shared catalog rejects duplicate names).
-    pub temp_prefix: String,
     /// Deterministic fault schedule scoped onto the job's thread for
     /// the duration of the query (chaos testing). `None` = no faults.
     pub fault: Option<FaultInjector>,
@@ -308,15 +306,6 @@ fn collector_observations<'a>(
     out
 }
 
-/// Which query owns a `tmp_reopt_*` object: parses the query id out of
-/// a temp-table name or scratch tag (`tmp_reopt_q<id>_…` for the
-/// original run, `tmp_reopt_q<id>r<gen>_…` for recovery generations).
-fn temp_owner(name: &str) -> Option<u64> {
-    let rest = name.strip_prefix("tmp_reopt_q")?;
-    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
-}
-
 /// RAII unwinding for one query execution: whatever happens — success,
 /// error, cancellation, plan switch, transient-fault retry — dropping
 /// the guard clears the attempt's artifacts, reclaims every registered
@@ -341,11 +330,6 @@ impl<'a> CleanupGuard<'a> {
     /// Register a materialized temp table for end-of-query cleanup.
     fn track(&mut self, name: String) {
         self.temps.push(name);
-    }
-
-    /// Temp tables materialized so far (stats feedback skips them).
-    fn temps(&self) -> &[String] {
-        &self.temps
     }
 
     /// Drop one tracked-or-pending temp table immediately (used when a
@@ -479,14 +463,14 @@ impl Meter {
         }
     }
 
-    /// The cost charged since the start, and the elapsed simulated
-    /// time: serial cost minus what overlapping partitions absorbed
-    /// (zero when serial).
-    fn elapsed(&self, clock: &SimClock, cfg: &EngineConfig) -> (CostSnapshot, f64) {
+    /// The cost charged since the start, the elapsed simulated time,
+    /// and the part of the serial cost's time that overlapping
+    /// partitions absorbed (zero when serial): elapsed = serial − saved.
+    fn elapsed(&self, clock: &SimClock, cfg: &EngineConfig) -> (CostSnapshot, f64, f64) {
         let cost = clock.snapshot().since(&self.t0);
         let saved = (clock.parallel_saved_ms() - self.saved0).max(0.0);
         let time_ms = (cost.time_ms(cfg) - saved).max(0.0);
-        (cost, time_ms)
+        (cost, time_ms, saved)
     }
 }
 
@@ -510,7 +494,6 @@ struct QueryRun<'a> {
     promotions: Vec<PendingPromotion>,
     meter: Meter,
     attempt: u32,
-    segment_retries: u32,
     completed_segments: u32,
 }
 
@@ -532,10 +515,7 @@ struct EngineFeedback<'a>(&'a Engine);
 impl CardFeedback for EngineFeedback<'_> {
     fn observed_rows(&self, fingerprint: u64) -> Option<f64> {
         let e = self.0.feedback.get(fingerprint)?;
-        e.deps
-            .iter()
-            .all(|(t, v)| self.0.catalog.data_version(t) == Some(*v))
-            .then_some(e.rows)
+        self.0.catalog.deps_current(&e.deps).then_some(e.rows)
     }
 }
 
@@ -649,17 +629,15 @@ impl Engine {
         self.query_seq.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// The default per-job environment: the engine-wide clock and
-    /// memory manager, no interrupts, and a unique temp prefix.
+    /// The default per-job environment: a fresh query id, the
+    /// engine-wide clock and memory manager, and no interrupts.
     pub fn default_env(&self) -> JobEnv {
-        let query_id = self.next_query_id();
         JobEnv {
-            query_id,
+            query_id: self.next_query_id(),
             clock: self.clock.clone(),
             mm: self.mm.clone(),
             cancel: None,
             deadline_ms: None,
-            temp_prefix: format!("tmp_reopt_q{query_id}_"),
             fault: None,
             obs: None,
             par: None,
@@ -677,7 +655,6 @@ impl Engine {
     /// meaningful at quiescence — while queries run, pins, temp tables
     /// and not-yet-reclaimed pages are all legitimately non-zero.
     pub fn audit(&self) -> AuditReport {
-        let known_cache = self.cache.known_tables();
         AuditReport {
             leaked_temp_tables: self
                 .catalog
@@ -685,12 +662,7 @@ impl Engine {
                 .into_iter()
                 .filter(|n| n.starts_with("tmp_reopt_"))
                 .collect(),
-            orphan_cache_tables: self
-                .catalog
-                .table_names()
-                .into_iter()
-                .filter(|n| n.starts_with("cache_") && !known_cache.contains(n))
-                .collect(),
+            orphan_cache_tables: self.orphan_cache_tables(),
             orphan_pages: self.storage.orphan_pages(),
             pinned_frames: self.storage.pool().pinned(),
             cleanup_failures: self.cleanup_failures.load(Ordering::Relaxed),
@@ -766,16 +738,22 @@ impl Engine {
     /// admission. Like the audit, only meaningful at quiescence.
     /// Returns the number of tables swept.
     pub fn sweep_cache_orphans(&self) -> u64 {
-        let known = self.cache.known_tables();
-        let mut swept = 0u64;
-        for name in self.catalog.table_names() {
-            if name.starts_with("cache_") && !known.contains(&name) {
-                self.drop_temp(&name);
-                swept += 1;
-            }
+        let orphans = self.orphan_cache_tables();
+        for name in &orphans {
+            self.drop_temp(name);
         }
+        let swept = orphans.len() as u64;
         self.stale_swept.fetch_add(swept, Ordering::Relaxed);
         swept
+    }
+
+    /// `cache_*` catalog tables no cache entry (live or pinned-dead)
+    /// knows about.
+    fn orphan_cache_tables(&self) -> Vec<String> {
+        let known = self.cache.known_tables();
+        let mut names = self.catalog.table_names();
+        names.retain(|n| n.starts_with("cache_") && !known.contains(n));
+        names
     }
 
     /// Retire dead (invalidated-while-pinned) entries whose last pin
@@ -842,10 +820,12 @@ impl Engine {
         // Per-operator cpu/io profiling costs two clock snapshots per
         // operator call; only pay it when a sink is listening.
         ctx.profile_detail = mq_obs::sink_active();
-        // Tag every temp file this job creates with its temp prefix —
-        // the simulated per-query scratch directory. After a crash,
-        // recovery finds the abandoned partial outputs by this tag.
-        ctx.scratch_tag = Some(env.temp_prefix.clone());
+        // Open the checkpoint manifest before any segment can complete
+        // (a recovery resume rolls the generation over). Its temp prefix
+        // names this run's temp tables and tags its temp files — the
+        // simulated scratch directory recovery sweeps after a crash.
+        let temp_prefix = self.manifests.begin(env.query_id, logical.clone(), mode);
+        ctx.scratch_tag = Some(temp_prefix.clone());
         let controller = Rc::new(ReoptController::new(
             mode,
             self.cfg.clone(),
@@ -855,19 +835,15 @@ impl Engine {
             Arc::clone(&self.calibration),
             env.mm.clone(),
             env.clock.clone(),
-            ctx.share_grants(),
-            env.temp_prefix.clone(),
+            Arc::clone(&ctx.grants),
+            ctx.events.clone(),
+            temp_prefix,
         ));
         let ctx = if mode.collects() {
             ctx.with_monitor(controller.clone())
         } else {
             ctx
         };
-        // Open the checkpoint manifest before any segment can complete.
-        // On a recovery resume this rolls the generation over instead
-        // (the salvaged temp tables become the protected set).
-        self.manifests
-            .begin(env.query_id, logical.clone(), mode, env.temp_prefix.clone());
         let mut q = QueryRun {
             mode,
             env,
@@ -878,7 +854,6 @@ impl Engine {
             promotions: Vec::new(),
             meter,
             attempt: 0,
-            segment_retries: 0,
             completed_segments: 0,
         };
         let mut current = logical.clone();
@@ -917,11 +892,7 @@ impl Engine {
             PlanSource::Prepared { sql, norm } => (norm.clone(), sql),
         };
         let probe = self.plancache.probe(&norm, |e| {
-            if !e
-                .deps
-                .iter()
-                .all(|(t, v)| self.catalog.data_version(t) == Some(*v))
-            {
+            if !self.catalog.deps_current(&e.deps) {
                 Freshness::StaleWrite
             } else if self
                 .feedback
@@ -964,7 +935,7 @@ impl Engine {
                 // Warm family: the rebound template replaces the whole
                 // optimize step. No optimizer work is charged —
                 // skipping enumeration is the point.
-                q.controller.record(ObsEvent::PlanCacheHit { saved_work });
+                q.ctx.events.record(ObsEvent::PlanCacheHit { saved_work });
                 *plan
             }
             action => {
@@ -974,7 +945,7 @@ impl Engine {
                 if self.cfg.cache_enabled {
                     for h in &opt.feedback_hits {
                         self.note_feedback_applied(
-                            &q.controller,
+                            &q.ctx.events,
                             Some(&h.table),
                             h.fingerprint,
                             h.estimated_rows,
@@ -985,12 +956,12 @@ impl Engine {
                     // column mean the histogram itself is wrong —
                     // rebuild just that column instead of patching
                     // around it per fingerprint forever.
-                    self.maybe_refresh_histograms(&opt.feedback_hits, &q.controller);
+                    self.maybe_refresh_histograms(&opt.feedback_hits, &q.ctx.events);
                     // Post-pass for sub-trees the graph override
                     // cannot reach (joins observed by collectors),
                     // before collectors, which would otherwise
                     // decorate sub-trees a later splice removes.
-                    self.consult_feedback(&mut plan, &q.controller);
+                    self.consult_feedback(&mut plan, &q.ctx.events);
                 }
                 // Capture the template *after* the feedback post-pass
                 // (so the cached estimates start from truth) but
@@ -998,13 +969,13 @@ impl Engine {
                 // collector insertion, which decorate the plan with
                 // query-local state.
                 if let Some(PlanCacheAction::Enter { norm, sql, stale }) = action {
-                    self.enter_plan_cache(&plan, &norm, &sql, stale, opt.work_units, &q.controller);
+                    self.enter_plan_cache(&plan, &norm, &sql, stale, opt.work_units, &q.ctx.events);
                 }
                 plan
             }
         };
         if self.cfg.cache_enabled {
-            self.probe_cache(&mut plan, &mut q.cache_pins, &q.controller);
+            self.probe_cache(&mut plan, &mut q.cache_pins, &q.ctx.events);
         }
         if q.mode.collects() {
             insert_collectors(&mut plan, &self.catalog, &self.cfg)?;
@@ -1037,11 +1008,7 @@ impl Engine {
 
     /// Start one attempt of `plan` and execute it until the segment
     /// ends: with the final rows, a plan switch, or an error.
-    fn run_segment(
-        &self,
-        q: &mut QueryRun<'_>,
-        plan: &PhysPlan,
-    ) -> Result<(Vec<Row>, Option<ParReport>)> {
+    fn run_segment(&self, q: &mut QueryRun<'_>, plan: &PhysPlan) -> Result<Vec<Row>> {
         q.controller.begin_attempt(plan.clone());
         q.attempt += 1;
         let attempt = q.attempt;
@@ -1057,9 +1024,8 @@ impl Engine {
         // abandoned plan; the final attempt starts from scratch.
         q.ctx.reset_actuals();
         match &q.env.par {
-            Some(par) => run_partitioned(plan, q.ctx, par, &self.cfg)
-                .map(|(rows, report)| (rows, Some(report))),
-            None => run_to_vec(plan, q.ctx).map(|rows| (rows, None)),
+            Some(par) => run_partitioned(plan, q.ctx, par),
+            None => run_to_vec(plan, q.ctx),
         }
     }
 
@@ -1072,28 +1038,29 @@ impl Engine {
         &self,
         q: &mut QueryRun<'_>,
         plan: PhysPlan,
-        run: Result<(Vec<Row>, Option<ParReport>)>,
+        run: Result<Vec<Row>>,
     ) -> Result<Step> {
         let attempt = q.attempt;
         let segment_end = |outcome| mq_obs::emit(|| ObsEvent::SegmentEnd { attempt, outcome });
         let err = match run {
-            Ok((rows, par)) => {
+            Ok(rows) => {
                 segment_end(SegmentOutcome::Done);
-                let (cost, time_ms) = q.meter.elapsed(&q.env.clock, &self.cfg);
-                let (memory_reallocs, collector_reports) = q.controller.counters();
+                let (cost, time_ms, parallel_saved_ms) = q.meter.elapsed(&q.env.clock, &self.cfg);
+                let events = q.ctx.events.take();
+                let counts = EventCounts::of(&events);
                 return Ok(Step::Done(Box::new(QueryOutcome {
                     rows,
                     cost,
                     time_ms,
                     mode: q.mode,
-                    plan_switches: q.controller.switches(),
-                    segment_retries: q.segment_retries,
-                    memory_reallocs,
-                    collector_reports,
-                    events: q.controller.take_events(),
+                    plan_switches: counts.plan_switches,
+                    segment_retries: counts.segment_retries,
+                    memory_reallocs: q.controller.reallocs(),
+                    collector_reports: counts.collector_reports,
+                    events,
                     final_plan: plan,
                     actuals: q.ctx.take_actuals(),
-                    par,
+                    parallel_saved_ms,
                 })));
             }
             Err(MqError::PlanSwitch(raw)) => {
@@ -1108,7 +1075,7 @@ impl Engine {
                 e
             }
         };
-        if !err.is_transient() || q.segment_retries >= TRANSIENT_RETRY_LIMIT {
+        if !err.is_transient() || q.ctx.events.counts().segment_retries >= TRANSIENT_RETRY_LIMIT {
             return Err(err);
         }
         self.prepare_segment_retry(q, &err);
@@ -1206,7 +1173,7 @@ impl Engine {
             // next attempt resets the controller's observations, or the
             // next planning of this family repeats the same leaf
             // mistake in a new join order.
-            self.record_collector_feedback(plan, &q.controller, q.guard.temps());
+            self.record_collector_feedback(plan, &q.controller);
         }
 
         // Stale per-attempt state.
@@ -1227,12 +1194,12 @@ impl Engine {
         let QueryRun {
             mode,
             env,
+            ctx,
             controller,
             mut guard,
             cache_pins,
             promotions,
             meter,
-            segment_retries,
             ..
         } = q;
         // Promote the staged plan-switch temps before closing the
@@ -1263,10 +1230,10 @@ impl Engine {
         self.manifests.remove(env.query_id);
         if let Ok(outcome) = &result {
             if self.cfg.stats_feedback && mode.collects() {
-                self.apply_stats_feedback(&outcome.final_plan, &controller, guard.temps());
+                self.apply_stats_feedback(&outcome.final_plan, &controller);
             }
             if self.cfg.cache_enabled && mode.collects() {
-                self.record_collector_feedback(&outcome.final_plan, &controller, guard.temps());
+                self.record_collector_feedback(&outcome.final_plan, &controller);
             }
         }
         // Cleanup runs (and emits its event) before the query-end
@@ -1276,7 +1243,7 @@ impl Engine {
         // retire anything invalidated while we held it alive.
         drop(cache_pins);
         self.reclaim_dead_cache();
-        self.emit_query_end(&result, &env, &meter, &controller, segment_retries);
+        self.emit_query_end(&result, &env, &meter, &controller, &ctx.events);
         result
     }
 
@@ -1289,16 +1256,20 @@ impl Engine {
         env: &JobEnv,
         meter: &Meter,
         controller: &ReoptController,
-        segment_retries: u32,
+        log: &EventLog,
     ) {
         if !mq_obs::active() {
             return;
         }
-        let (cost, sim_ms) = meter.elapsed(&env.clock, &self.cfg);
-        let (memory_reallocs, collector_reports) = controller.counters();
-        let (outcome_str, rows) = match result {
-            Ok(o) => ("ok".to_string(), o.rows.len() as u64),
-            Err(e) => (e.kind().to_string(), 0),
+        let (cost, sim_ms, _) = meter.elapsed(&env.clock, &self.cfg);
+        // A finished query's outcome took the log.
+        let (outcome_str, rows, counts) = match result {
+            Ok(o) => (
+                "ok".to_string(),
+                o.rows.len() as u64,
+                EventCounts::of(&o.events),
+            ),
+            Err(e) => (e.kind().to_string(), 0, log.counts()),
         };
         mq_obs::emit(|| ObsEvent::QueryEnd {
             outcome: outcome_str,
@@ -1308,10 +1279,10 @@ impl Engine {
             pages_written: cost.pages_written,
             cpu_ops: cost.cpu_ops,
             opt_work: cost.opt_work,
-            plan_switches: u64::from(controller.switches()),
-            segment_retries: u64::from(segment_retries),
-            memory_reallocs: u64::from(memory_reallocs),
-            collector_reports: u64::from(collector_reports),
+            plan_switches: u64::from(counts.plan_switches),
+            segment_retries: u64::from(counts.segment_retries),
+            memory_reallocs: u64::from(controller.reallocs()),
+            collector_reports: u64::from(counts.collector_reports),
         });
         if let Ok(o) = result {
             mq_obs::with_metrics(|m| {
@@ -1350,9 +1321,8 @@ impl Engine {
     /// exponential backoff (simulated) for it. Materialized temp tables
     /// survive — they are the restart point.
     fn prepare_segment_retry(&self, q: &mut QueryRun<'_>, cause: &MqError) {
-        q.segment_retries += 1;
-        let retry = q.segment_retries;
-        q.controller.record(ObsEvent::SegmentRetry {
+        let retry = q.ctx.events.counts().segment_retries + 1;
+        q.ctx.events.record(ObsEvent::SegmentRetry {
             retry,
             limit: TRANSIENT_RETRY_LIMIT,
             cause: cause.to_string(),
@@ -1369,18 +1339,12 @@ impl Engine {
     /// wherever a previous query observed this exact sub-plan's true
     /// cardinality, so the controller's divergence baseline starts from
     /// truth and repeated query families re-optimize less.
-    fn consult_feedback(&self, plan: &mut PhysPlan, controller: &ReoptController) {
+    fn consult_feedback(&self, plan: &mut PhysPlan, log: &EventLog) {
         if self.feedback.is_empty() {
             return;
         }
         for h in apply_feedback(plan, &EngineFeedback(self), &self.cfg) {
-            self.note_feedback_applied(
-                controller,
-                None,
-                h.fingerprint,
-                h.estimated_rows,
-                h.observed_rows,
-            );
+            self.note_feedback_applied(log, None, h.fingerprint, h.estimated_rows, h.observed_rows);
         }
     }
 
@@ -1389,14 +1353,14 @@ impl Engine {
     /// the base relation of a graph-level (pre-enumeration) override.
     fn note_feedback_applied(
         &self,
-        controller: &ReoptController,
+        log: &EventLog,
         table: Option<&str>,
         fingerprint: u64,
         estimated_rows: f64,
         observed_rows: f64,
     ) {
         self.feedback.note_applied_for(fingerprint);
-        controller.record(ObsEvent::FeedbackApplied {
+        log.record(ObsEvent::FeedbackApplied {
             fingerprint,
             estimated_rows,
             observed_rows,
@@ -1416,17 +1380,17 @@ impl Engine {
         sql: &str,
         stale: Option<&'static str>,
         work_units: u64,
-        controller: &ReoptController,
+        log: &EventLog,
     ) {
         // The probe already counted this run as a miss or stale drop;
         // emit the matching event before any early return below so the
         // event stream stays consistent with the probe-side counters
         // even when the plan turns out to be uncacheable.
-        controller.record(match stale {
+        log.record(match stale {
             Some(reason) => ObsEvent::PlanCacheStale { reason },
             None => ObsEvent::PlanCacheMiss,
         });
-        controller.record(ObsEvent::PlanCacheAdmit {
+        log.record(ObsEvent::PlanCacheAdmit {
             refused: self.admit_template(plan, norm, sql, work_units).err(),
         });
     }
@@ -1444,19 +1408,11 @@ impl Engine {
         sql: &str,
         work_units: u64,
     ) -> std::result::Result<(), String> {
-        let tables = base_tables(plan);
-        let mut deps = Vec::with_capacity(tables.len());
-        for t in tables {
-            if t.starts_with("tmp_reopt_") || t.starts_with("cache_") {
-                return Err(format!(
-                    "{t} is query-local, plan is not a pure function of base data"
-                ));
-            }
-            let Some(v) = self.catalog.data_version(&t) else {
-                return Err(format!("{t} has no data version"));
-            };
-            deps.push((t, v));
-        }
+        let Some(deps) = self.catalog.base_deps(&base_tables(plan)) else {
+            return Err("plan reads a query-local or unknown table, \
+                        so it is not a pure function of base data"
+                .into());
+        };
         let mut entry = CachedPlan::capture(plan, norm, work_units, deps, 0);
         entry.applied_at = self.feedback.applied_sum(&entry.fingerprints);
         entry.sql = Some(sql.to_string());
@@ -1496,7 +1452,7 @@ impl Engine {
     /// to exactly one base-table predicate column, rebuild just that
     /// column's histogram (incremental MaxDiff) from live data and
     /// drop the per-fingerprint corrections it makes redundant.
-    fn maybe_refresh_histograms(&self, hits: &[GraphFeedbackHit], controller: &ReoptController) {
+    fn maybe_refresh_histograms(&self, hits: &[GraphFeedbackHit], log: &EventLog) {
         if !self.cfg.plan_cache_enabled || self.cfg.hist_refresh_hits == 0 {
             return;
         }
@@ -1540,7 +1496,7 @@ impl Engine {
                 // corrections for this table; keeping them would
                 // double-apply the same evidence.
                 self.feedback.remove_for_table(&h.table);
-                controller.record(ObsEvent::HistogramRefresh {
+                log.record(ObsEvent::HistogramRefresh {
                     table: h.table.clone(),
                     column: column.clone(),
                     error_factor: err,
@@ -1553,19 +1509,14 @@ impl Engine {
     /// cache and splice a [`PhysOp::CachedScan`] over every largest
     /// matching sub-tree. Pins pushed onto `pins` must outlive the
     /// execution of the (possibly re-optimized) plan.
-    fn probe_cache(
-        &self,
-        plan: &mut PhysPlan,
-        pins: &mut Vec<PinGuard>,
-        controller: &ReoptController,
-    ) {
+    fn probe_cache(&self, plan: &mut PhysPlan, pins: &mut Vec<PinGuard>, log: &EventLog) {
         let mut probed = 0u64;
-        let spliced = self.probe_rec(plan, pins, &mut probed, controller);
+        let spliced = self.probe_rec(plan, pins, &mut probed, log);
         if spliced > 0 {
             plan.assign_ids();
         } else if probed > 0 {
             self.cache.record_miss();
-            controller.record(ObsEvent::CacheMiss { probed });
+            log.record(ObsEvent::CacheMiss { probed });
         }
     }
 
@@ -1574,7 +1525,7 @@ impl Engine {
         plan: &mut PhysPlan,
         pins: &mut Vec<PinGuard>,
         probed: &mut u64,
-        controller: &ReoptController,
+        log: &EventLog,
     ) -> u32 {
         // Every node is probe-worthy — a cut can sit directly above a
         // scan, so even leaf fingerprints may be cached. Spliced nodes
@@ -1583,12 +1534,7 @@ impl Engine {
             *probed += 1;
             let fp = subplan_fingerprint(plan);
             if let Some(hit) = self.cache.lookup(fp) {
-                let fresh = hit
-                    .entry
-                    .deps
-                    .iter()
-                    .all(|(t, v)| self.catalog.data_version(t) == Some(*v));
-                if !fresh {
+                if !self.catalog.deps_current(&hit.entry.deps) {
                     // A dep was written since promotion: retire the
                     // entry now (dead-until-unpinned if shared).
                     drop(hit.guard);
@@ -1597,7 +1543,7 @@ impl Engine {
                     }
                 } else if let Some(mapping) = schema_permutation(&hit.entry.schema, &plan.schema) {
                     let e = &hit.entry;
-                    controller.record(ObsEvent::CacheHit {
+                    log.record(ObsEvent::CacheHit {
                         fingerprint: fp,
                         table: e.table.clone(),
                         rows: e.rows,
@@ -1662,7 +1608,7 @@ impl Engine {
         }
         let mut spliced = 0;
         for c in &mut plan.children {
-            spliced += self.probe_rec(c, pins, probed, controller);
+            spliced += self.probe_rec(c, pins, probed, log);
         }
         spliced
     }
@@ -1682,20 +1628,9 @@ impl Engine {
         pages: u64,
         bytes: u64,
     ) {
-        let tables = base_tables(sub);
-        if tables
-            .iter()
-            .any(|t| t.starts_with("tmp_reopt_") || t.starts_with("cache_"))
-        {
+        let Some(deps) = self.catalog.base_deps(&base_tables(sub)) else {
             return;
-        }
-        let mut deps = Vec::with_capacity(tables.len());
-        for t in tables {
-            let Some(v) = self.catalog.data_version(&t) else {
-                return;
-            };
-            deps.push((t, v));
-        }
+        };
         let fp = subplan_fingerprint(sub);
         // Feedback rides along regardless of cache admission:
         // materializing the cut observed its exact output cardinality.
@@ -1728,10 +1663,7 @@ impl Engine {
         for p in promotions {
             // A dep written mid-query makes the result already stale;
             // leave the temp to die with the guard.
-            if p.deps
-                .iter()
-                .any(|(t, v)| self.catalog.data_version(t) != Some(*v))
-            {
+            if !self.catalog.deps_current(&p.deps) {
                 continue;
             }
             let cache_name = format!("cache_q{query_id}_{:016x}", p.fingerprint);
@@ -1800,26 +1732,9 @@ impl Engine {
     /// *next* query containing that sub-plan plans with truth. Sub-
     /// plans touching temp or cache tables are skipped (not pure
     /// functions of base data).
-    fn record_collector_feedback(
-        &self,
-        plan: &PhysPlan,
-        controller: &ReoptController,
-        temp_tables: &[String],
-    ) {
+    fn record_collector_feedback(&self, plan: &PhysPlan, controller: &ReoptController) {
         for (child, obs) in collector_observations(plan, controller) {
-            let tables = base_tables(child);
-            if tables.iter().any(|t| {
-                t.starts_with("tmp_reopt_")
-                    || t.starts_with("cache_")
-                    || temp_tables.iter().any(|tt| tt == t)
-            }) {
-                continue;
-            }
-            let deps: Option<Vec<_>> = tables
-                .into_iter()
-                .map(|t| self.catalog.data_version(&t).map(|v| (t, v)))
-                .collect();
-            let Some(deps) = deps else {
+            let Some(deps) = self.catalog.base_deps(&base_tables(child)) else {
                 continue;
             };
             self.feedback
@@ -1832,19 +1747,13 @@ impl Engine {
     /// true row count and column distributions — write them back so the
     /// next query plans against healed statistics. Filtered scans and
     /// early-stopped collectors are skipped (their observations describe
-    /// a subset), as are the re-optimizer's own temp tables (about to be
-    /// dropped).
-    fn apply_stats_feedback(
-        &self,
-        plan: &PhysPlan,
-        controller: &ReoptController,
-        temp_tables: &[String],
-    ) {
+    /// a subset), as are query-local tables (about to be dropped).
+    fn apply_stats_feedback(&self, plan: &PhysPlan, controller: &ReoptController) {
         for (child, obs) in collector_observations(plan, controller) {
             let PhysOp::SeqScan { spec, filter: None } = &child.op else {
                 continue;
             };
-            if temp_tables.iter().any(|t| t == &spec.table) {
+            if is_query_local(&spec.table) {
                 continue;
             }
             // Collector specs use qualified names; catalog column stats
@@ -1880,15 +1789,13 @@ impl Engine {
     /// Uses a default environment (engine clock, no interrupts); the
     /// runtime supplies its own via [`Engine::recover_with`].
     pub fn recover(&self, query_id: u64) -> Result<RecoveryReport> {
-        let mut env = self.default_env();
-        env.query_id = query_id;
-        self.recover_with(query_id, env)
+        self.recover_with(query_id, self.default_env())
     }
 
     /// [`Engine::recover`] under an explicit job environment. The
-    /// env's `temp_prefix` is overwritten with the recovery
-    /// generation's prefix (`tmp_reopt_q<id>r<gen>_`), which can never
-    /// collide with the crashed generation's names.
+    /// resume runs as the manifest's next generation, whose temp prefix
+    /// (`tmp_reopt_q<id>r<gen>_`) can never collide with the crashed
+    /// generation's names.
     ///
     /// Validation and sweep are charged to `env.clock` and run under
     /// the env's fault scope, so an injected crash *during recovery*
@@ -1902,7 +1809,6 @@ impl Engine {
         })?;
         let generation = manifest.generation + 1;
         env.query_id = query_id;
-        env.temp_prefix = format!("tmp_reopt_q{query_id}r{generation}_");
         let clock = env.clock.clone();
         let t0 = clock.snapshot();
 
@@ -2022,9 +1928,10 @@ impl Engine {
         // abandoned spills). Protected tables belong to *earlier*
         // generations — different prefix — and are untouched by
         // construction.
+        let prefix = manifest.temp_prefix();
         let mut swept_tables = 0u64;
         for name in self.catalog.table_names() {
-            if !name.starts_with(&manifest.temp_prefix) {
+            if !name.starts_with(&prefix) {
                 continue;
             }
             if salvaged_tables.iter().any(|t| t == &name) {
@@ -2034,7 +1941,7 @@ impl Engine {
             swept_tables += 1;
         }
         let mut swept_files = 0u64;
-        for file in self.storage.files_with_tag(&manifest.temp_prefix) {
+        for file in self.storage.files_with_tag(&prefix) {
             if self.storage.drop_file(file).is_ok() {
                 swept_files += 1;
             }

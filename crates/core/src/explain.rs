@@ -10,12 +10,14 @@
 //! line. Statistics collectors are marked as the potential
 //! re-optimization points they are, and scans over `tmp_reopt_*` temp
 //! tables are marked as the materialized cut of an accepted switch.
+//! Exchange operators show their stage's `Exchange` and `SkewVerdict`
+//! events: rows routed per partition, and any re-balancing.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use mq_exec::OpActuals;
-use mq_par::ParReport;
+use mq_obs::ObsEvent;
 use mq_plan::{NodeId, PhysOp, PhysPlan};
 
 use crate::engine::QueryOutcome;
@@ -40,24 +42,22 @@ pub fn explain_analyze(outcome: &QueryOutcome) -> String {
         outcome.collector_reports,
         outcome.segment_retries
     );
-    if let Some(par) = &outcome.par {
+    let stages = exchange_stages(outcome);
+    if let Some(ObsEvent::Exchange {
+        partitions,
+        buckets,
+        ..
+    }) = stages.first().map(|s| s.exchange)
+    {
         let _ = writeln!(
             out,
-            "partitions: {}   buckets: {}   exchange stages: {}   skew verdicts: {}   parallel saving: {:.1} ms",
-            par.partitions,
-            par.buckets,
-            par.exchanges.len(),
-            par.skew.len(),
-            par.saved_ms
+            "partitions: {partitions}   buckets: {buckets}   exchange stages: {}   skew verdicts: {}   parallel saving: {:.1} ms",
+            stages.len(),
+            stages.iter().filter(|s| s.skew.is_some()).count(),
+            outcome.parallel_saved_ms
         );
     }
-    render_node(
-        &mut out,
-        &outcome.final_plan,
-        0,
-        &outcome.actuals,
-        outcome.par.as_ref(),
-    );
+    render_node(&mut out, &outcome.final_plan, 0, &outcome.actuals, &stages);
     if !outcome.events.is_empty() {
         let _ = writeln!(out, "re-optimization events:");
         for (i, e) in outcome.events.iter().enumerate() {
@@ -65,6 +65,49 @@ pub fn explain_analyze(outcome: &QueryOutcome) -> String {
         }
     }
     out
+}
+
+/// One exchange stage of a query's final attempt, as its events
+/// recorded it.
+pub struct ExchangeStage<'a> {
+    /// The exchange node of the final plan.
+    pub node: NodeId,
+    /// The stage's `Exchange` event.
+    pub exchange: &'a ObsEvent,
+    /// The `SkewVerdict` the stage recorded right before it, if any.
+    pub skew: Option<&'a ObsEvent>,
+}
+
+/// The exchange stages of `outcome`'s final attempt, in final-plan
+/// order (empty for serial execution). A transient retry re-runs a
+/// segment under the same plan, so the last `Exchange` event recorded
+/// for a node is the final attempt's; the driver records a stage's
+/// skew verdict immediately before its exchange event.
+pub fn exchange_stages(outcome: &QueryOutcome) -> Vec<ExchangeStage<'_>> {
+    let events = &outcome.events;
+    let mut stages = Vec::new();
+    outcome.final_plan.walk(&mut |n| {
+        if !matches!(n.op, PhysOp::Exchange { .. }) {
+            return;
+        }
+        let id = n.id.0 as u64;
+        let Some(i) = events
+            .iter()
+            .rposition(|e| matches!(e, ObsEvent::Exchange { node, .. } if *node == id))
+        else {
+            return;
+        };
+        let skew = i
+            .checked_sub(1)
+            .map(|j| &events[j])
+            .filter(|e| matches!(e, ObsEvent::SkewVerdict { node, .. } if *node == id));
+        stages.push(ExchangeStage {
+            node: n.id,
+            exchange: &events[i],
+            skew,
+        });
+    });
+    stages
 }
 
 /// Marker suffix identifying a node's role in re-optimization, if any.
@@ -85,7 +128,7 @@ fn render_node(
     plan: &PhysPlan,
     indent: usize,
     actuals: &HashMap<NodeId, OpActuals>,
-    par: Option<&ParReport>,
+    stages: &[ExchangeStage<'_>],
 ) {
     let pad = "  ".repeat(indent);
     let _ = write!(out, "{pad}{} {}", plan.op.name(), plan.op_detail());
@@ -122,30 +165,28 @@ fn render_node(
     // would estimate per partition (uniform split) against the rows the
     // driver actually routed to each one — per-partition est vs actual,
     // the skew story at a glance.
-    if let (PhysOp::Exchange { partitions, .. }, Some(report)) = (&plan.op, par) {
-        if let Some(ex) = report.exchange(plan.id) {
-            let est_each = plan.annot.est_rows / (*partitions).max(1) as f64;
-            let _ = writeln!(
-                out,
-                "{pad}    per-partition rows (est≈{est_each:.0} each): {:?}",
-                ex.per_partition_rows,
-                pad = "  ".repeat(indent)
-            );
-        }
-        for skew in report.skew.iter().filter(|s| s.node == plan.id) {
-            let _ = writeln!(
-                out,
-                "{pad}    skew verdict: max/mean {:.2} > θ {:.2} → {} (now {:.2})",
-                skew.ratio,
-                skew.theta,
-                skew.action,
-                skew.after_ratio,
-                pad = "  ".repeat(indent)
-            );
+    if let Some(ExchangeStage {
+        exchange:
+            ObsEvent::Exchange {
+                partitions,
+                per_partition_rows,
+                ..
+            },
+        skew,
+        ..
+    }) = stages.iter().find(|s| s.node == plan.id)
+    {
+        let est_each = plan.annot.est_rows / (*partitions).max(1) as f64;
+        let _ = writeln!(
+            out,
+            "{pad}    per-partition rows (est≈{est_each:.0} each): {per_partition_rows:?}"
+        );
+        if let Some(skew) = skew {
+            let _ = writeln!(out, "{pad}    {skew}");
         }
     }
     for c in &plan.children {
-        render_node(out, c, indent + 1, actuals, par);
+        render_node(out, c, indent + 1, actuals, stages);
     }
 }
 

@@ -46,7 +46,7 @@ pub use engine::{
 pub use explain::explain_analyze;
 pub use manifest::{CheckpointRecord, ManifestStore, QueryManifest};
 pub use mq_cache::{CacheEntry, CacheStats, FeedbackStore, SubPlanCache};
-pub use mq_par::{ExchangeReport, ParReport, ParSpec, SkewReport};
+pub use mq_par::ParSpec;
 pub use mq_plancache::{normalize, NormalizedQuery, PlanCache, PlanCacheStats};
 pub use persist::SnapshotReport;
 pub use scia::{insert_collectors, InaccuracyLevel, SciaReport};

@@ -23,6 +23,7 @@
 //! kept verbatim alongside its hash; a real WAL would serialize the
 //! plan into the record and the hash would guard the bytes.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -57,10 +58,6 @@ pub struct QueryManifest {
     pub query_id: u64,
     /// Re-optimization mode the query ran under (resume uses it too).
     pub mode: ReoptMode,
-    /// Temp prefix of the generation that wrote this manifest; the
-    /// sweep after a crash reclaims *this* prefix's unrecorded
-    /// leftovers and nothing else.
-    pub temp_prefix: String,
     /// The plan to resume from when no checkpoint validates.
     pub original: LogicalPlan,
     /// Completed-segment records, in completion order.
@@ -78,6 +75,19 @@ pub struct QueryManifest {
 }
 
 impl QueryManifest {
+    /// The temp prefix of this manifest's generation: the name prefix
+    /// of every temp table and scratch file the run creates, so the
+    /// sweep after a crash reclaims *this* prefix's unrecorded
+    /// leftovers and nothing else. Generation 0 is `tmp_reopt_q<id>_`;
+    /// recovery generation `g` is `tmp_reopt_q<id>r<g>_`, which can
+    /// never collide with an earlier generation's names.
+    pub fn temp_prefix(&self) -> String {
+        match self.generation {
+            0 => format!("tmp_reopt_q{}_", self.query_id),
+            g => format!("tmp_reopt_q{}r{g}_", self.query_id),
+        }
+    }
+
     /// Append one completion record with its remainder plan.
     pub fn append(&mut self, record: CheckpointRecord, remainder: LogicalPlan) {
         debug_assert_eq!(record.segment as usize, self.records.len() + 1);
@@ -85,6 +95,15 @@ impl QueryManifest {
         self.records.push(record);
         self.remainders.push(remainder);
     }
+}
+
+/// Which query owns a `tmp_reopt_*` object: parses the query id out of
+/// a temp-table name or scratch tag carrying any generation's
+/// [`QueryManifest::temp_prefix`].
+pub(crate) fn temp_owner(name: &str) -> Option<u64> {
+    let rest = name.strip_prefix("tmp_reopt_q")?;
+    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+    digits.parse().ok()
 }
 
 /// Deterministic structural hash of a logical plan (FNV-1a over its
@@ -111,48 +130,38 @@ impl ManifestStore {
         ManifestStore::default()
     }
 
-    /// Open a manifest for a (re)starting query. A fresh query gets an
-    /// empty generation-0 manifest. When a manifest for `query_id`
-    /// already exists (a recovery resume), the new generation rolls
-    /// over: the old generation's *recorded* temp tables join the
-    /// protected set — they are inputs of `original` now — and its
-    /// records are cleared so new checkpoints accumulate from scratch.
-    pub fn begin(
-        &self,
-        query_id: u64,
-        original: LogicalPlan,
-        mode: ReoptMode,
-        temp_prefix: String,
-    ) {
+    /// Open a manifest for a (re)starting query and return the temp
+    /// prefix of the generation it opened
+    /// ([`QueryManifest::temp_prefix`]). A fresh query gets an empty
+    /// generation-0 manifest. When a manifest for `query_id` already
+    /// exists (a recovery resume), the new generation rolls over: the
+    /// old generation's *recorded* temp tables join the protected set —
+    /// they are inputs of `original` now — and its records are cleared
+    /// so new checkpoints accumulate from scratch.
+    pub fn begin(&self, query_id: u64, original: LogicalPlan, mode: ReoptMode) -> String {
         let mut map = self.inner.lock();
-        match map.get_mut(&query_id) {
-            Some(m) => {
-                let recorded: Vec<String> =
-                    m.records.iter().map(|r| r.temp_table.clone()).collect();
-                m.protected.extend(recorded);
-                m.records.clear();
+        let m = match map.entry(query_id) {
+            Entry::Occupied(e) => {
+                let m = e.into_mut();
+                m.protected
+                    .extend(m.records.drain(..).map(|r| r.temp_table));
                 m.remainders.clear();
                 m.original = original;
                 m.mode = mode;
-                m.temp_prefix = temp_prefix;
                 m.generation += 1;
+                m
             }
-            None => {
-                map.insert(
-                    query_id,
-                    QueryManifest {
-                        query_id,
-                        mode,
-                        temp_prefix,
-                        original,
-                        records: Vec::new(),
-                        remainders: Vec::new(),
-                        protected: Vec::new(),
-                        generation: 0,
-                    },
-                );
-            }
-        }
+            Entry::Vacant(e) => e.insert(QueryManifest {
+                query_id,
+                mode,
+                original,
+                records: Vec::new(),
+                remainders: Vec::new(),
+                protected: Vec::new(),
+                generation: 0,
+            }),
+        };
+        m.temp_prefix()
     }
 
     /// Append a completion record to a query's manifest (no-op if the
@@ -194,7 +203,7 @@ mod tests {
     #[test]
     fn begin_append_remove_lifecycle() {
         let store = ManifestStore::new();
-        store.begin(7, plan(), ReoptMode::Full, "tmp_reopt_q7_".into());
+        assert_eq!(store.begin(7, plan(), ReoptMode::Full), "tmp_reopt_q7_");
         let remainder = LogicalPlan::scan("tmp_reopt_q7_1");
         store.append(
             7,
@@ -220,7 +229,7 @@ mod tests {
     #[test]
     fn resume_generation_protects_prior_records() {
         let store = ManifestStore::new();
-        store.begin(3, plan(), ReoptMode::Full, "tmp_reopt_q3_".into());
+        assert_eq!(store.begin(3, plan(), ReoptMode::Full), "tmp_reopt_q3_");
         let remainder = LogicalPlan::scan("tmp_reopt_q3_1");
         store.append(
             3,
@@ -234,10 +243,13 @@ mod tests {
             remainder.clone(),
         );
         // Crash; recovery resumes with a new generation.
-        store.begin(3, remainder, ReoptMode::Full, "tmp_reopt_q3r1_".into());
+        assert_eq!(
+            store.begin(3, remainder, ReoptMode::Full),
+            "tmp_reopt_q3r1_"
+        );
         let m = store.get(3).expect("manifest survives the crash");
         assert_eq!(m.generation, 1);
-        assert_eq!(m.temp_prefix, "tmp_reopt_q3r1_");
+        assert_eq!(m.temp_prefix(), "tmp_reopt_q3r1_");
         assert!(m.records.is_empty(), "new generation checkpoints afresh");
         assert_eq!(m.protected, vec!["tmp_reopt_q3_1".to_string()]);
     }

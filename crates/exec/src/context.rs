@@ -1,5 +1,6 @@
-//! Shared execution context: storage, clock, grants, artifacts, and
-//! the monitor hook the re-optimization controller plugs into.
+//! Shared execution context: storage, clock, grants, artifacts, the
+//! query's event log, and the monitor hook the re-optimization
+//! controller plugs into.
 
 use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
@@ -9,6 +10,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use mq_common::{CancelToken, EngineConfig, FileId, MqError, Result, Row, SimClock, Value};
+use mq_obs::{ObsEvent, ReoptVerdict};
 use mq_plan::NodeId;
 use mq_storage::Storage;
 use parking_lot::Mutex;
@@ -52,6 +54,63 @@ pub struct OpActuals {
     pub cpu_ops: u64,
     /// Inclusive logical page I/O (reads + writes), same caveat.
     pub io_pages: u64,
+}
+
+/// The query's event log, in the order events happened: the one record
+/// of what a query did, which the outcome's event list and counters
+/// are read from. Clones append to the same log.
+#[derive(Debug, Clone, Default)]
+pub struct EventLog(Rc<RefCell<Vec<ObsEvent>>>);
+
+impl EventLog {
+    /// Emit `ev` to the active observability scope and append it.
+    pub fn record(&self, ev: ObsEvent) {
+        mq_obs::emit(|| ev.clone());
+        self.0.borrow_mut().push(ev);
+    }
+
+    /// Take the events recorded so far, leaving the log empty.
+    pub fn take(&self) -> Vec<ObsEvent> {
+        std::mem::take(&mut self.0.borrow_mut())
+    }
+
+    /// The counters derived from the events recorded so far.
+    pub fn counts(&self) -> EventCounts {
+        EventCounts::of(&self.0.borrow())
+    }
+}
+
+/// The per-query counters, derived from an event log rather than kept
+/// beside it.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct EventCounts {
+    /// `Reopt` events with an `Accept` verdict.
+    pub plan_switches: u32,
+    /// Non-progress `Collector` events.
+    pub collector_reports: u32,
+    /// `SegmentRetry` events.
+    pub segment_retries: u32,
+}
+
+impl EventCounts {
+    /// Count `events`.
+    pub fn of(events: &[ObsEvent]) -> EventCounts {
+        let mut c = EventCounts::default();
+        for e in events {
+            match e {
+                ObsEvent::Reopt {
+                    verdict: ReoptVerdict::Accept,
+                    ..
+                } => c.plan_switches += 1,
+                ObsEvent::Collector {
+                    progress: false, ..
+                } => c.collector_reports += 1,
+                ObsEvent::SegmentRetry { .. } => c.segment_retries += 1,
+                _ => {}
+            }
+        }
+        c
+    }
 }
 
 /// State a blocking operator externalizes between phases (and across a
@@ -107,6 +166,9 @@ pub struct ExecContext {
     /// Shared so the re-optimization controller can update it from
     /// inside monitor callbacks.
     pub grants: Arc<Mutex<HashMap<NodeId, usize>>>,
+    /// The query's event log, shared with the controller and with every
+    /// bucket context of the partitioned driver.
+    pub events: EventLog,
     /// Optional observer (the re-optimization controller).
     pub monitor: Option<Rc<dyn ExecMonitor>>,
     /// Cooperative cancellation, polled at segment boundaries.
@@ -150,6 +212,7 @@ impl ExecContext {
             cfg,
             artifacts: RefCell::new(HashMap::new()),
             grants: Arc::new(Mutex::new(HashMap::new())),
+            events: EventLog::default(),
             monitor: None,
             cancel: None,
             deadline_ms: None,
@@ -162,8 +225,9 @@ impl ExecContext {
     }
 
     /// A fresh context for one bucket run of the partitioned driver:
-    /// same storage, clock, config, cancellation, deadline and grants
-    /// table (so per-node grants agree with the serial plan), but its
+    /// same storage, clock, config, cancellation, deadline, grants
+    /// table (so per-node grants agree with the serial plan) and event
+    /// log, but its
     /// own artifact store, temp-file registry and actuals — and no
     /// monitor, since collector reports are merged and delivered at
     /// exchange barriers by the driver itself.
@@ -174,6 +238,7 @@ impl ExecContext {
             cfg: self.cfg.clone(),
             artifacts: RefCell::new(HashMap::new()),
             grants: Arc::clone(&self.grants),
+            events: self.events.clone(),
             monitor: None,
             cancel: self.cancel.clone(),
             deadline_ms: self.deadline_ms,
@@ -239,11 +304,6 @@ impl ExecContext {
             }
         }
         reclaimed
-    }
-
-    /// A shared handle to the grants table (for the controller).
-    pub fn share_grants(&self) -> Arc<Mutex<HashMap<NodeId, usize>>> {
-        Arc::clone(&self.grants)
     }
 
     /// Drop all grant overrides (after a plan switch re-numbers nodes).

@@ -36,7 +36,9 @@ use mq_common::{MqError, Result, Row};
 use mq_plan::{NodeId, PhysOp, PhysPlan};
 
 pub use collector::{CollectorParts, ObservedStats};
-pub use context::{Artifact, ExecContext, ExecMonitor, HashBuild, OpActuals};
+pub use context::{
+    Artifact, EventCounts, EventLog, ExecContext, ExecMonitor, HashBuild, OpActuals,
+};
 pub use sink::{materialize, row_fingerprint, rows_fingerprint, MaterializedResult};
 
 /// A pull-based physical operator.

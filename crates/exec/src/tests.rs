@@ -703,7 +703,7 @@ fn mid_build_grant_raise_averts_spill() {
     // With the progress-driven raise: no spill.
     let ctx = fx.ctx();
     let raiser = std::rc::Rc::new(ProgressRaiser {
-        grants: ctx.share_grants(),
+        grants: std::sync::Arc::clone(&ctx.grants),
         target: join_id,
         fired: std::cell::Cell::new(0),
     });

@@ -181,6 +181,10 @@ pub enum ObsEvent {
         buckets: u64,
         /// Total rows through the exchange.
         rows: u64,
+        /// Rows landing on each partition under the final bucket →
+        /// partition assignment (a broadcast delivers every row to
+        /// every partition).
+        per_partition_rows: Vec<u64>,
     },
     /// Per-partition loads at an exchange exceeded the skew threshold.
     SkewVerdict {
@@ -192,6 +196,9 @@ pub enum ObsEvent {
         theta: f64,
         /// `rebalance` (buckets reassigned) or `none` (kept static).
         action: &'static str,
+        /// The max/mean ratio under the new assignment (bounded below
+        /// by the heaviest single bucket — a bucket is never split).
+        after_ratio: f64,
     },
     /// An injected crash (simulated process kill) abandoned the
     /// query's in-flight state without cleanup.
@@ -488,23 +495,30 @@ impl ObsEvent {
                 partitions,
                 buckets,
                 rows,
+                per_partition_rows,
             } => {
                 let _ = write!(
                     out,
                     ",\"node\":{node},\"mode\":\"{mode}\",\"partitions\":{partitions},\
-                     \"buckets\":{buckets},\"rows\":{rows}"
+                     \"buckets\":{buckets},\"rows\":{rows},\"per_partition_rows\":["
                 );
+                for (i, n) in per_partition_rows.iter().enumerate() {
+                    let sep = if i == 0 { "" } else { "," };
+                    let _ = write!(out, "{sep}{n}");
+                }
+                out.push(']');
             }
             ObsEvent::SkewVerdict {
                 node,
                 ratio,
                 theta,
                 action,
+                after_ratio,
             } => {
                 let _ = write!(
                     out,
                     ",\"node\":{node},\"ratio\":{ratio},\"theta\":{theta},\
-                     \"action\":\"{action}\""
+                     \"action\":\"{action}\",\"after_ratio\":{after_ratio}"
                 );
             }
             ObsEvent::CrashInjected { query_id, cause } => {
@@ -659,8 +673,8 @@ impl ObsEvent {
 /// The one-line report form. Each kind a query report lists keeps a
 /// fixed prefix (`memory:`, `replan@op#N:`, `collector op#N:`,
 /// `progress op#N:`, `plancache:`, `cache:`, `feedback:`, `stats:`,
-/// `cleanup:`, `segment retry`) that scripts grep for; any other kind
-/// renders as its JSON fields.
+/// `cleanup:`, `segment retry`, `exchange op#N:`, `skew verdict:`) that
+/// scripts grep for; any other kind renders as its JSON fields.
 impl fmt::Display for ObsEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -789,6 +803,29 @@ impl fmt::Display for ObsEvent {
                 f,
                 "stats: refreshed histogram {table}.{column} (error factor {error_factor:.1})"
             ),
+            ObsEvent::Exchange {
+                node,
+                mode,
+                rows,
+                per_partition_rows,
+                ..
+            } => write!(
+                f,
+                "exchange op#{node}: {mode} of {rows} rows, per-partition rows {per_partition_rows:?}"
+            ),
+            // Recorded right before the exchange event of its stage, and
+            // rendered under that exchange by EXPLAIN ANALYZE, so the
+            // line names no node of its own.
+            ObsEvent::SkewVerdict {
+                ratio,
+                theta,
+                action,
+                after_ratio,
+                ..
+            } => write!(
+                f,
+                "skew verdict: max/mean {ratio:.2} > θ {theta:.2} → {action} (now {after_ratio:.2})"
+            ),
             _ => {
                 let mut out = String::new();
                 self.write_json_fields(&mut out);
@@ -906,6 +943,45 @@ mod tests {
                 "\"event\":\"lease_deny\",\"site\":\"grow\"",
             ]
         );
+    }
+
+    #[test]
+    fn exchange_and_skew_events_render_their_stage() {
+        let exchange = ObsEvent::Exchange {
+            node: 6,
+            mode: "repartition",
+            partitions: 4,
+            buckets: 64,
+            rows: 516,
+            per_partition_rows: vec![81, 75, 69, 33],
+        };
+        let skew = ObsEvent::SkewVerdict {
+            node: 6,
+            ratio: 1.72,
+            theta: 1.15,
+            action: "rebalance",
+            after_ratio: 1.19,
+        };
+        assert_eq!(
+            exchange.to_string(),
+            "exchange op#6: repartition of 516 rows, per-partition rows [81, 75, 69, 33]"
+        );
+        assert_eq!(
+            skew.to_string(),
+            "skew verdict: max/mean 1.72 > θ 1.15 → rebalance (now 1.19)"
+        );
+        let mut line = String::from("{");
+        exchange.write_json_fields(&mut line);
+        line.push('}');
+        assert_eq!(
+            crate::json::json_raw(&line, "per_partition_rows"),
+            Some("[81,75,69,33]")
+        );
+        assert_eq!(crate::json::json_u64(&line, "rows"), Some(516));
+        let mut line = String::from("{");
+        skew.write_json_fields(&mut line);
+        line.push('}');
+        assert_eq!(crate::json::json_f64(&line, "after_ratio"), Some(1.19));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Minimal JSON helpers: string escaping for the emit path and a tiny
 //! field extractor for consumers of the JSONL trace (tests, trace
 //! tooling). The build has no serde; the trace format is flat objects
-//! with string/number/bool values, which is all these helpers handle.
+//! with string/number/bool values and arrays of numbers, which is all
+//! these helpers handle.
 
 use std::fmt::Write as _;
 
@@ -62,10 +63,13 @@ fn is_inside_string(prefix: &str) -> bool {
     inside
 }
 
-/// The value starting at the beginning of `rest`, up to the next
-/// top-level `,` or `}`.
+/// The value starting at the beginning of `rest`: a string literal, an
+/// array of numbers up to its `]`, or anything else up to the next `,`
+/// or `}`.
 fn value_slice(rest: &str) -> &str {
-    if rest.starts_with('"') {
+    if rest.starts_with('[') {
+        rest.find(']').map_or(rest, |end| &rest[..=end])
+    } else if rest.starts_with('"') {
         let mut escape = false;
         for (i, b) in rest.bytes().enumerate().skip(1) {
             if escape {

@@ -5,8 +5,8 @@
 //! the optimizer's estimates. This crate makes that evidence (and the
 //! decisions taken on it) visible without perturbing execution:
 //!
-//! * a typed **event bus** ([`ObsEvent`], [`ObsSink`]) with ring-buffer
-//!   and JSONL sinks and thread-local span scoping in the style of
+//! * a typed **event bus** ([`ObsEvent`], [`ObsSink`]) with a JSONL
+//!   sink and thread-local span scoping in the style of
 //!   `mq_common::fault`;
 //! * a **metrics registry** ([`MetricsRegistry`]) with a deterministic
 //!   snapshot, stable/volatile metric classes and Prometheus-text
@@ -38,7 +38,7 @@ pub mod sink;
 pub use event::{ObsEvent, ReoptVerdict, SegmentOutcome};
 pub use json::{json_f64, json_raw, json_str, json_u64};
 pub use metrics::{MetricsRegistry, MetricsSnapshot, Stability, INACCURACY_BUCKETS};
-pub use sink::{JsonlSink, ObsSink, RingSink, SpanInfo, TeeSink, TraceRecord};
+pub use sink::{JsonlSink, ObsSink, SpanInfo};
 
 /// One observability context: an optional sink, an optional metrics
 /// registry, and the span identity (job id + label) stamped on every
@@ -411,8 +411,8 @@ mod tests {
 
     #[test]
     fn scopes_nest_and_unwind() {
-        let ring = Arc::new(RingSink::new(16));
-        let outer = Obs::none().with_sink(ring.clone());
+        let sink = Arc::new(JsonlSink::new());
+        let outer = Obs::none().with_sink(sink.clone());
         let _a = outer.enter_scope();
         assert!(sink_active());
         {
@@ -422,7 +422,7 @@ mod tests {
         }
         assert!(sink_active(), "outer scope restored");
         emit(|| ObsEvent::QueryStart { mode: "full" });
-        assert_eq!(ring.total_emitted(), 1, "only the outer-scope emission");
+        assert_eq!(sink.len(), 1, "only the outer-scope emission");
     }
 
     #[test]
@@ -461,8 +461,8 @@ mod tests {
 
     #[test]
     fn for_job_stamps_span_identity() {
-        let ring = Arc::new(RingSink::new(16));
-        let obs = Obs::none().with_sink(ring.clone()).for_job(7, "Q3");
+        let sink = Arc::new(JsonlSink::new());
+        let obs = Obs::none().with_sink(sink.clone()).for_job(7, "Q3");
         obs.emit(&ObsEvent::QueryStart { mode: "off" });
         obs.emit(&ObsEvent::QueryEnd {
             outcome: "ok".into(),
@@ -477,11 +477,11 @@ mod tests {
             memory_reallocs: 0,
             collector_reports: 0,
         });
-        let records = ring.records();
-        assert_eq!(records.len(), 2);
-        assert_eq!(records[0].job, 7);
-        assert_eq!(&*records[0].label, "Q3");
-        assert_eq!(records[0].seq, 0);
-        assert_eq!(records[1].seq, 1);
+        let lines = sink.lines();
+        assert_eq!(lines.len(), 2);
+        assert_eq!(json_u64(&lines[0], "job"), Some(7));
+        assert_eq!(json_str(&lines[0], "label").as_deref(), Some("Q3"));
+        assert_eq!(json_u64(&lines[0], "seq"), Some(0));
+        assert_eq!(json_u64(&lines[1], "seq"), Some(1));
     }
 }

@@ -7,16 +7,13 @@
 //!
 //! * **Lock-cheap** — one short mutex hold per event, no allocation on
 //!   the hot path beyond the rendered record itself;
-//! * **Never fallible** — a full ring overwrites its oldest record, a
-//!   JSONL sink only buffers (writing to disk is an explicit,
-//!   post-execution call);
+//! * **Never fallible** — the JSONL sink only buffers (writing to
+//!   disk is an explicit, post-execution call);
 //! * **Never on the simulated clock** — sinks do not charge
 //!   `SimClock`, so enabling tracing cannot change a query's simulated
 //!   cost (asserted by the overhead test).
 
-use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -37,65 +34,6 @@ pub struct SpanInfo {
 /// A destination for observability events.
 pub trait ObsSink: Send + Sync {
     fn emit(&self, span: &SpanInfo, event: &ObsEvent);
-}
-
-/// One structured record as captured by [`RingSink`].
-#[derive(Debug, Clone)]
-pub struct TraceRecord {
-    pub job: u64,
-    pub label: Arc<str>,
-    pub seq: u64,
-    pub event: ObsEvent,
-}
-
-/// A bounded in-memory ring of structured records: the newest
-/// `capacity` events, oldest evicted first. Cheap enough to leave on.
-#[derive(Debug)]
-pub struct RingSink {
-    capacity: usize,
-    buf: Mutex<VecDeque<TraceRecord>>,
-    total: AtomicU64,
-}
-
-impl RingSink {
-    pub fn new(capacity: usize) -> RingSink {
-        RingSink {
-            capacity: capacity.max(1),
-            buf: Mutex::new(VecDeque::with_capacity(capacity.clamp(1, 1024))),
-            total: AtomicU64::new(0),
-        }
-    }
-
-    /// Every event ever emitted (including evicted ones).
-    pub fn total_emitted(&self) -> u64 {
-        self.total.load(Ordering::Relaxed)
-    }
-
-    /// Copy of the retained records, oldest first.
-    pub fn records(&self) -> Vec<TraceRecord> {
-        self.buf.lock().iter().cloned().collect()
-    }
-
-    /// Drop all retained records (the total keeps counting).
-    pub fn clear(&self) {
-        self.buf.lock().clear();
-    }
-}
-
-impl ObsSink for RingSink {
-    fn emit(&self, span: &SpanInfo, event: &ObsEvent) {
-        self.total.fetch_add(1, Ordering::Relaxed);
-        let mut buf = self.buf.lock();
-        if buf.len() == self.capacity {
-            buf.pop_front();
-        }
-        buf.push_back(TraceRecord {
-            job: span.job,
-            label: span.label.clone(),
-            seq: span.seq,
-            event: event.clone(),
-        });
-    }
 }
 
 /// Buffers events as JSONL lines:
@@ -159,25 +97,6 @@ impl ObsSink for JsonlSink {
     }
 }
 
-/// Fans one emission out to several sinks (e.g. ring + JSONL).
-pub struct TeeSink {
-    sinks: Vec<Arc<dyn ObsSink>>,
-}
-
-impl TeeSink {
-    pub fn new(sinks: Vec<Arc<dyn ObsSink>>) -> TeeSink {
-        TeeSink { sinks }
-    }
-}
-
-impl ObsSink for TeeSink {
-    fn emit(&self, span: &SpanInfo, event: &ObsEvent) {
-        for s in &self.sinks {
-            s.emit(span, event);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,24 +107,6 @@ mod tests {
             label: Arc::from("Q10"),
             seq,
         }
-    }
-
-    #[test]
-    fn ring_evicts_oldest_and_counts_total() {
-        let ring = RingSink::new(2);
-        for i in 0..3 {
-            ring.emit(
-                &span(i),
-                &ObsEvent::SegmentStart {
-                    attempt: i as u32 + 1,
-                    plan_nodes: 5,
-                },
-            );
-        }
-        let records = ring.records();
-        assert_eq!(records.len(), 2);
-        assert_eq!(records[0].seq, 1, "oldest record evicted");
-        assert_eq!(ring.total_emitted(), 3);
     }
 
     #[test]
@@ -234,15 +135,5 @@ mod tests {
         assert_eq!(crate::json::json_u64(l, "seq"), Some(7));
         assert_eq!(crate::json::json_u64(l, "observed_rows"), Some(1200));
         assert_eq!(crate::json::json_f64(l, "inaccuracy"), Some(12.0));
-    }
-
-    #[test]
-    fn tee_reaches_every_sink() {
-        let ring = Arc::new(RingSink::new(8));
-        let jsonl = Arc::new(JsonlSink::new());
-        let tee = TeeSink::new(vec![ring.clone(), jsonl.clone()]);
-        tee.emit(&span(0), &ObsEvent::QueryStart { mode: "full" });
-        assert_eq!(ring.total_emitted(), 1);
-        assert_eq!(jsonl.len(), 1);
     }
 }

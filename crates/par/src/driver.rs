@@ -19,12 +19,16 @@
 //! [`mq_common::SimClock::add_parallel_saved_ms`]. io/cpu totals are untouched, so
 //! they are identical to a serial run of the same bucketed work — and
 //! identical across partition counts.
+//!
+//! Every exchange stage and skew verdict is recorded in the query's
+//! event log (`ExecContext::events`), which is the only record of what
+//! the partitioned run did.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use mq_common::{EngineConfig, MqError, Result, Row, Value};
+use mq_common::{MqError, Result, Row, Value};
 use mq_exec::context::hash_key;
 use mq_exec::scan::SeqScanExec;
 use mq_exec::{build_executor_with, CollectorParts, ExecContext, Operator, RowsExec};
@@ -32,7 +36,7 @@ use mq_obs::ObsEvent;
 use mq_plan::{ExchangeMode, NodeId, PhysOp, PhysPlan};
 
 use crate::rewrite::chunkable;
-use crate::{ExchangeReport, ParReport, ParSpec, SkewReport, PAR_BUCKETS};
+use crate::{ParSpec, PAR_BUCKETS};
 
 /// Routing salt for exchange repartitioning. Distinct from the
 /// hash-join family of level salts (0, 1, 2, …): rows inside one
@@ -45,25 +49,17 @@ const ROUTE_SALT: u64 = 0x7061_7254; // "parT"
 const INTERRUPT_STRIDE: usize = 1024;
 
 /// Execute a parallelized plan (one that went through
-/// [`crate::parallelize`]) and return its rows plus the partitioned
-/// execution report. Results are byte-identical for any partition
-/// count (bucket composition depends only on the data, the keys and
-/// the bucket count), and equal to serial execution up to
-/// floating-point summation order (aggregates sum in bucket order).
-pub fn run_partitioned(
-    plan: &PhysPlan,
-    ctx: &ExecContext,
-    spec: &ParSpec,
-    cfg: &EngineConfig,
-) -> Result<(Vec<Row>, ParReport)> {
-    let p = spec.partitions.max(1);
-    let b = PAR_BUCKETS;
+/// [`crate::parallelize`]) and return its rows; exchange stages and
+/// skew verdicts go to the query's event log. Results are
+/// byte-identical for any partition count (bucket composition depends
+/// only on the data, the keys and the bucket count), and equal to
+/// serial execution up to floating-point summation order (aggregates
+/// sum in bucket order).
+pub fn run_partitioned(plan: &PhysPlan, ctx: &ExecContext, spec: &ParSpec) -> Result<Vec<Row>> {
     let mut driver = Driver {
         ctx,
-        cfg,
-        p,
-        b,
-        report: ParReport::new(p, b),
+        p: spec.partitions.max(1),
+        b: PAR_BUCKETS,
         actuals: HashMap::new(),
     };
     let rows = match driver.eval(plan)? {
@@ -78,7 +74,7 @@ pub fn run_partitioned(
     for (node, a) in driver.actuals.drain() {
         ctx.record_actuals(node, a);
     }
-    Ok((rows, driver.report))
+    Ok(rows)
 }
 
 /// The value of a plan subtree under the driver.
@@ -95,12 +91,10 @@ enum Stream {
 
 struct Driver<'a> {
     ctx: &'a ExecContext,
-    cfg: &'a EngineConfig,
     /// Partition (worker) count `P`.
     p: usize,
     /// Bucket count `B`.
     b: usize,
-    report: ParReport,
     /// Per-operator actuals summed across bucket runs.
     actuals: HashMap<NodeId, mq_exec::OpActuals>,
 }
@@ -176,7 +170,7 @@ impl<'a> Driver<'a> {
             }
             let t0 = self.ctx.clock.snapshot();
             let rows = self.run_unit(plan, overrides, &capture)?;
-            times.push(self.ctx.clock.snapshot().since(&t0).time_ms(self.cfg));
+            times.push(self.ctx.clock.snapshot().since(&t0).time_ms(&self.ctx.cfg));
             out_buckets.push(rows);
         }
         self.book_saved(&times, &assignment);
@@ -206,7 +200,7 @@ impl<'a> Driver<'a> {
                 produced += rows.len() as u64;
                 self.ctx.clock.add_cpu(rows.len() as u64);
                 self.route(rows, keys, &mut buckets);
-                times.push(self.ctx.clock.snapshot().since(&t0).time_ms(self.cfg));
+                times.push(self.ctx.clock.snapshot().since(&t0).time_ms(&self.ctx.cfg));
             }
             self.finish_capture(&capture)?;
         } else {
@@ -226,7 +220,7 @@ impl<'a> Driver<'a> {
                         produced += rows.len() as u64;
                         self.ctx.clock.add_cpu(rows.len() as u64);
                         self.route(rows, keys, &mut buckets);
-                        times.push(self.ctx.clock.snapshot().since(&t0).time_ms(self.cfg));
+                        times.push(self.ctx.clock.snapshot().since(&t0).time_ms(&self.ctx.cfg));
                     }
                     unit_assignment = Some(asg);
                 }
@@ -261,7 +255,7 @@ impl<'a> Driver<'a> {
             for (lo, hi) in ranges {
                 let t0 = self.ctx.clock.snapshot();
                 let rows = self.run_chunk(child, lo, hi, &capture)?;
-                times.push(self.ctx.clock.snapshot().since(&t0).time_ms(self.cfg));
+                times.push(self.ctx.clock.snapshot().since(&t0).time_ms(&self.ctx.cfg));
                 chunk_rows.push(rows.len() as u64);
                 out.extend(rows);
             }
@@ -415,13 +409,12 @@ impl<'a> Driver<'a> {
         let saved = total - busiest;
         if saved > 0.0 {
             self.ctx.clock.add_parallel_saved_ms(saved);
-            self.report.saved_ms += saved;
         }
     }
 
     /// Decide the bucket → partition assignment after routing: start
     /// contiguous; if the max/mean per-partition load ratio exceeds
-    /// `par_skew_theta`, emit a skew verdict and greedily re-balance
+    /// `par_skew_theta`, record a skew verdict and greedily re-balance
     /// (largest bucket first onto the least-loaded partition).
     /// Deterministic: ties break on lowest bucket / partition index.
     fn skew_assign(&mut self, node: NodeId, loads: &[u64]) -> Vec<usize> {
@@ -434,7 +427,7 @@ impl<'a> Driver<'a> {
         let mean = total as f64 / self.p as f64;
         let max = per.iter().copied().max().unwrap_or(0) as f64;
         let ratio = if mean > 0.0 { max / mean } else { 1.0 };
-        let theta = self.cfg.par_skew_theta;
+        let theta = self.ctx.cfg.par_skew_theta;
         if ratio <= theta {
             return contiguous;
         }
@@ -467,14 +460,8 @@ impl<'a> Driver<'a> {
         let after = fold_loads(loads, &assignment, self.p);
         let after_max = after.iter().copied().max().unwrap_or(0) as f64;
         let after_ratio = if mean > 0.0 { after_max / mean } else { 1.0 };
-        mq_obs::emit(|| ObsEvent::SkewVerdict {
+        self.ctx.events.record(ObsEvent::SkewVerdict {
             node: node.0 as u64,
-            ratio,
-            theta,
-            action: "rebalance",
-        });
-        self.report.skew.push(SkewReport {
-            node,
             ratio,
             theta,
             action: "rebalance",
@@ -506,9 +493,9 @@ impl<'a> Driver<'a> {
         Ok(())
     }
 
-    /// Emit the exchange trace event and fold the stage into the
-    /// report and the actuals (exchange nodes have no executor under
-    /// the driver, so their observed row counts are recorded here).
+    /// Record the exchange event and fold the stage into the actuals
+    /// (exchange nodes have no executor under the driver, so their
+    /// observed row counts are recorded here).
     fn record_exchange(
         &mut self,
         node: NodeId,
@@ -516,17 +503,12 @@ impl<'a> Driver<'a> {
         rows: u64,
         per_partition_rows: Vec<u64>,
     ) {
-        mq_obs::emit(|| ObsEvent::Exchange {
+        self.actuals.entry(node).or_default().rows += rows;
+        self.ctx.events.record(ObsEvent::Exchange {
             node: node.0 as u64,
             mode,
             partitions: self.p as u64,
             buckets: self.b as u64,
-            rows,
-        });
-        self.actuals.entry(node).or_default().rows += rows;
-        self.report.exchanges.push(ExchangeReport {
-            node,
-            mode,
             rows,
             per_partition_rows,
         });

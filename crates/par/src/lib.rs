@@ -38,7 +38,7 @@
 //!
 //! **Skew** : after routing, if the max/mean per-partition load ratio
 //! exceeds [`mq_common::EngineConfig::par_skew_theta`], the driver
-//! emits a skew verdict and greedily re-assigns buckets to partitions
+//! records a skew verdict and greedily re-assigns buckets to partitions
 //! (largest-first onto the least-loaded worker) — the mid-query
 //! re-optimization of the *partitioning* itself. Re-assignment changes
 //! only the accounting overlay, never the bucket contents, so results
@@ -46,8 +46,6 @@
 
 mod driver;
 mod rewrite;
-
-use mq_plan::NodeId;
 
 pub use driver::run_partitioned;
 pub use rewrite::parallelize;
@@ -81,69 +79,5 @@ impl ParSpec {
         ParSpec {
             partitions: partitions.max(1),
         }
-    }
-}
-
-/// What one exchange stage did at run time.
-#[derive(Debug, Clone)]
-pub struct ExchangeReport {
-    /// Plan-node id of the exchange.
-    pub node: NodeId,
-    /// `repartition`, `merge` or `broadcast`.
-    pub mode: &'static str,
-    /// Total rows through the exchange.
-    pub rows: u64,
-    /// Rows landing on each partition (under the final bucket →
-    /// partition assignment; for a broadcast, every partition receives
-    /// the full row count).
-    pub per_partition_rows: Vec<u64>,
-}
-
-/// One skew decision.
-#[derive(Debug, Clone)]
-pub struct SkewReport {
-    /// Exchange node the verdict fired at.
-    pub node: NodeId,
-    /// Observed max/mean per-partition load ratio.
-    pub ratio: f64,
-    /// The configured threshold it exceeded.
-    pub theta: f64,
-    /// `rebalance` (buckets re-assigned) or `none`.
-    pub action: &'static str,
-    /// The max/mean ratio under the re-balanced assignment (bounded
-    /// below by the heaviest single bucket — a bucket is never split).
-    pub after_ratio: f64,
-}
-
-/// Partitioned-execution summary attached to the query outcome.
-#[derive(Debug, Clone)]
-pub struct ParReport {
-    /// Worker count the query ran with.
-    pub partitions: usize,
-    /// Logical bucket count rows were routed into.
-    pub buckets: usize,
-    /// Per-exchange row routing, in completion order.
-    pub exchanges: Vec<ExchangeReport>,
-    /// Skew verdicts, in completion order.
-    pub skew: Vec<SkewReport>,
-    /// Total simulated milliseconds saved by overlapping partitions
-    /// (already subtracted from the outcome's elapsed time).
-    pub saved_ms: f64,
-}
-
-impl ParReport {
-    fn new(partitions: usize, buckets: usize) -> ParReport {
-        ParReport {
-            partitions,
-            buckets,
-            exchanges: Vec::new(),
-            skew: Vec::new(),
-            saved_ms: 0.0,
-        }
-    }
-
-    /// The report for an exchange node, if that exchange executed.
-    pub fn exchange(&self, node: NodeId) -> Option<&ExchangeReport> {
-        self.exchanges.iter().find(|e| e.node == node)
     }
 }

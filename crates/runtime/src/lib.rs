@@ -275,13 +275,12 @@ fn run_admitted(
         }
         let query_id = engine.next_query_id();
         let mm = MemoryManager::with_lease(lease);
-        let make_env = |temp_prefix: String| JobEnv {
+        let make_env = || JobEnv {
             query_id,
             clock: ctl.clock.clone(),
             mm: mm.clone(),
             cancel: ctl.cancel.cloned(),
             deadline_ms: ctl.deadline_ms,
-            temp_prefix,
             fault: ctl.fault.cloned(),
             obs: ctl.obs.cloned(),
             par: ctl.partitions.map(ParSpec::new),
@@ -289,11 +288,10 @@ fn run_admitted(
         // A query that arrived as SQL text probes the plan cache with
         // its normalized family key (plan-only queries have no text to
         // normalize and always take the ordinary path).
-        let env = make_env(format!("tmp_reopt_q{query_id}_"));
         let mut outcome = engine.execute(ExecRequest {
             logical: plan,
             mode,
-            env,
+            env: make_env(),
             source: sql.map_or(PlanSource::Plan, PlanSource::Sql),
         });
         // crashed → recovering → done. The job keeps its memory lease
@@ -305,9 +303,7 @@ fn run_admitted(
             // The simulated analogue of waiting out a restart.
             ctl.clock
                 .charge_backoff(cfg, RECOVERY_BACKOFF_MS, recoveries);
-            // `recover_with` overwrites the temp prefix with the
-            // recovery generation's own.
-            match engine.recover_with(query_id, make_env(String::new())) {
+            match engine.recover_with(query_id, make_env()) {
                 Ok(recovery) => {
                     segments_salvaged += recovery.segments_salvaged;
                     outcome = Ok(recovery.outcome);

@@ -525,7 +525,8 @@ impl<'a> Query<'a> {
     /// Execute through the intra-query partitioned driver (`mq-par`)
     /// with this many simulated workers: the optimized plan gets
     /// exchange operators, pipeline segments execute per routing
-    /// bucket, and the outcome carries a [`mq_reopt::ParReport`].
+    /// bucket, and the outcome's events record every exchange stage
+    /// (with its per-partition row counts) and skew verdict.
     /// Results are byte-identical across partition counts, and equal
     /// to serial execution up to floating-point summation order.
     pub fn partitions(mut self, partitions: usize) -> Query<'a> {

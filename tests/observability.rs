@@ -193,15 +193,15 @@ fn workload_report_lines_carry_metrics() {
 
 #[test]
 fn disabled_sink_adds_no_simulated_cost() {
-    // Two identically loaded databases; one run observed (ring sink +
+    // Two identically loaded databases; one run observed (JSONL sink +
     // metrics), one bare. Observability never charges the simulated
     // clock, so the acceptance bound (< 2% simulated-cost overhead)
     // holds exactly: the costs are equal. The bare run still fills the
-    // outcome's always-on event buffer, which must charge nothing.
+    // query's always-on event log, which must charge nothing.
     let observed_db = skewed_db();
     let bare_db = skewed_db();
     let obs = Obs::none()
-        .with_sink(Arc::new(midq::obs::RingSink::new(4096)))
+        .with_sink(Arc::new(JsonlSink::new()))
         .with_metrics(MetricsRegistry::new())
         .for_job(1, "Q10");
 

@@ -8,7 +8,7 @@
 //! query set.
 
 use midq::common::EngineConfig;
-use midq::obs::{json_str, JsonlSink, MetricsRegistry, Obs};
+use midq::obs::{json_str, JsonlSink, MetricsRegistry, Obs, ObsEvent};
 use midq::tpcd::{queries, TpcdConfig};
 use midq::{Database, ExecRequest, PlanSource, ReoptMode, Workload, WorkloadQuery};
 
@@ -26,6 +26,42 @@ fn load_db_cfg(cfg: EngineConfig, scale: f64, stale: f64, zipf_z: Option<f64>) -
     })
     .unwrap();
     db
+}
+
+/// The outcome's exchange events, as (node, partitions,
+/// per-partition rows).
+fn exchanges(outcome: &midq::QueryOutcome) -> Vec<(u64, u64, Vec<u64>)> {
+    outcome
+        .events
+        .iter()
+        .filter_map(|e| match e {
+            ObsEvent::Exchange {
+                node,
+                partitions,
+                per_partition_rows,
+                ..
+            } => Some((*node, *partitions, per_partition_rows.clone())),
+            _ => None,
+        })
+        .collect()
+}
+
+/// The outcome's skew verdicts, as (ratio, theta, action, after ratio).
+fn skew_verdicts(outcome: &midq::QueryOutcome) -> Vec<(f64, f64, &'static str, f64)> {
+    outcome
+        .events
+        .iter()
+        .filter_map(|e| match e {
+            ObsEvent::SkewVerdict {
+                ratio,
+                theta,
+                action,
+                after_ratio,
+                ..
+            } => Some((*ratio, *theta, *action, *after_ratio)),
+            _ => None,
+        })
+        .collect()
 }
 
 /// Rows rendered in their *produced* order — partition-count
@@ -87,15 +123,26 @@ fn results_and_stable_metrics_identical_across_partition_counts() {
                 .run()
                 .unwrap_or_else(|e| panic!("{name} P={partitions}: {e}"));
 
-            let par = out
-                .par
-                .as_ref()
-                .expect("partitioned outcome carries report");
-            assert_eq!(par.partitions, partitions, "{name}");
+            let stages = exchanges(&out);
             assert!(
-                !par.exchanges.is_empty(),
+                !stages.is_empty(),
                 "{name} P={partitions}: no exchange stages recorded"
             );
+            for (node, p, per_partition_rows) in &stages {
+                assert_eq!(*p, partitions as u64, "{name} op#{node}");
+                assert_eq!(per_partition_rows.len(), partitions, "{name} op#{node}");
+            }
+            // One exchange event per exchange node of the final plan.
+            let mut planned = Vec::new();
+            out.final_plan.walk(&mut |n| {
+                if matches!(n.op, midq::plan::PhysOp::Exchange { .. }) {
+                    planned.push(n.id.0 as u64);
+                }
+            });
+            let mut recorded: Vec<u64> = stages.iter().map(|s| s.0).collect();
+            planned.sort_unstable();
+            recorded.sort_unstable();
+            assert_eq!(planned, recorded, "{name} P={partitions}");
 
             assert_eq!(
                 sorted_rows(&serial),
@@ -196,9 +243,10 @@ fn q10_four_partitions_halve_elapsed_without_inflating_work() {
         p4.cost.cpu_ops
     );
     assert!(
-        p4.par.as_ref().unwrap().saved_ms > 0.0,
+        p4.parallel_saved_ms > 0.0,
         "P=4 recorded no parallel saving"
     );
+    assert_eq!(p1.parallel_saved_ms, 0.0, "P=1 cannot overlap anything");
 }
 
 /// ISSUE acceptance: on Zipf-skewed data the repartition exchange
@@ -236,21 +284,21 @@ fn skew_verdict_fires_and_rebalance_beats_static() {
         .run()
         .unwrap();
 
-    let par = rebalanced.par.as_ref().unwrap();
+    let verdicts = skew_verdicts(&rebalanced);
     assert!(
-        !par.skew.is_empty(),
+        !verdicts.is_empty(),
         "no skew verdict fired on Zipf z=1.0 data at theta={theta}"
     );
-    for s in &par.skew {
-        assert!(s.ratio > s.theta, "verdict below threshold: {s:?}");
-        assert_eq!(s.action, "rebalance");
+    for s @ (ratio, theta, action, after_ratio) in &verdicts {
+        assert!(ratio > theta, "verdict below threshold: {s:?}");
+        assert_eq!(*action, "rebalance");
         assert!(
-            s.after_ratio <= s.ratio,
+            after_ratio <= ratio,
             "re-balance worsened the load ratio: {s:?}"
         );
     }
     assert!(
-        stat.par.as_ref().unwrap().skew.is_empty(),
+        skew_verdicts(&stat).is_empty(),
         "static run must not re-balance"
     );
 
@@ -269,14 +317,19 @@ fn skew_verdict_fires_and_rebalance_beats_static() {
         "unexpected verdict action: {verdicts:?}"
     );
 
+    // The report's event list carries the stages and the verdicts.
+    let report = rebalanced.report();
+    assert!(report.contains("exchange op#"), "{report}");
+    assert!(report.contains("skew verdict: max/mean"), "{report}");
+
     // Re-balancing only moves accounting, never rows.
     assert_eq!(sorted_rows(&rebalanced), sorted_rows(&stat));
     // ... and it schedules the hot buckets better than the static map.
     assert!(
-        par.saved_ms >= stat.par.as_ref().unwrap().saved_ms,
+        rebalanced.parallel_saved_ms >= stat.parallel_saved_ms,
         "rebalance saved {:.1}ms < static {:.1}ms",
-        par.saved_ms,
-        stat.par.as_ref().unwrap().saved_ms
+        rebalanced.parallel_saved_ms,
+        stat.parallel_saved_ms
     );
     assert!(
         rebalanced.time_ms <= stat.time_ms,

@@ -320,3 +320,40 @@ fn save_requires_a_path_and_in_memory_db_says_so() {
     assert!(path.exists());
     let _ = std::fs::remove_file(&path);
 }
+
+/// Names reserved for query-local tables (`tmp_reopt_*`, `cache_*`)
+/// are refused with a typed error through both SQL and the API, so no
+/// user table can carry one — snapshots leave query-local tables out,
+/// and such a user table used to vanish silently across save/open.
+#[test]
+fn reserved_table_names_are_refused_and_nothing_vanishes_on_reopen() {
+    let path = tmp_file("reserved_names");
+    let _ = std::fs::remove_file(&path);
+    let db = Database::new(cfg()).unwrap();
+    let err = db
+        .execute_sql("CREATE TABLE cache_items (k INT)", ReoptMode::Off)
+        .unwrap_err();
+    assert!(matches!(err, MqError::SchemaError(_)), "{err}");
+    let err = db
+        .create_table("tmp_reopt_q9_log", vec![("k", midq::common::DataType::Int)])
+        .unwrap_err();
+    assert!(matches!(err, MqError::SchemaError(_)), "{err}");
+    db.execute_sql("CREATE TABLE plain (k INT)", ReoptMode::Off)
+        .unwrap();
+    db.execute_sql("INSERT INTO plain VALUES (7)", ReoptMode::Off)
+        .unwrap();
+    let tables = db.engine().catalog().table_names();
+    assert_eq!(tables, vec!["plain".to_string()]);
+    db.save_as(&path).unwrap();
+
+    let reopened = Database::open_with(cfg(), &path).unwrap();
+    assert_eq!(reopened.engine().catalog().table_names(), tables);
+    let out = reopened
+        .query("SELECT k FROM plain")
+        .mode(ReoptMode::Off)
+        .run()
+        .unwrap();
+    assert_eq!(exact_rows(&out), vec!["[7]".to_string()]);
+    assert!(reopened.engine().audit().is_clean());
+    let _ = std::fs::remove_file(&path);
+}

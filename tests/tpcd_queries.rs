@@ -198,3 +198,85 @@ fn sql_variants_match_builders() {
         );
     }
 }
+
+/// The outcome's counters are exactly the event counts they summarize:
+/// `plan_switches` = accepted re-plan verdicts, `collector_reports` =
+/// final (non-progress) collector checkpoints, `segment_retries` =
+/// segment-retry events. Every query × mode on a stale catalog, serial
+/// and 4-way partitioned; every other run gets a transient read fault
+/// that forces a segment retry.
+#[test]
+fn outcome_counters_equal_event_counts() {
+    use midq::common::{FaultInjector, FaultKind, FaultSite, FaultSpec};
+    use midq::obs::{ObsEvent, ReoptVerdict};
+    use midq::reopt::ParSpec;
+    use midq::{ExecRequest, PlanSource};
+
+    let db = load_db(0.002, 0.3);
+    let engine = db.engine();
+    let (mut switches, mut reports, mut retries) = (0, 0, 0);
+    let mut faulted = false;
+    for (name, q) in queries::all() {
+        for mode in [
+            ReoptMode::Off,
+            ReoptMode::MemoryOnly,
+            ReoptMode::PlanOnly,
+            ReoptMode::Full,
+        ] {
+            for partitions in [None, Some(4)] {
+                faulted = !faulted;
+                let mut env = engine.default_env();
+                env.par = partitions.map(ParSpec::new);
+                env.fault = faulted.then(|| {
+                    let spec = FaultSpec {
+                        site: FaultSite::PageRead,
+                        kind: FaultKind::Transient,
+                        at: 20,
+                    };
+                    FaultInjector::new(vec![spec], None)
+                });
+                let ctx = format!("{name} {mode} P={partitions:?} faulted={faulted}");
+                let out = engine
+                    .execute(ExecRequest {
+                        logical: &q,
+                        mode,
+                        env,
+                        source: PlanSource::Plan,
+                    })
+                    .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                let count =
+                    |f: fn(&ObsEvent) -> bool| out.events.iter().filter(|e| f(e)).count() as u32;
+                let accepts = count(|e| {
+                    matches!(
+                        e,
+                        ObsEvent::Reopt {
+                            verdict: ReoptVerdict::Accept,
+                            ..
+                        }
+                    )
+                });
+                let finals = count(|e| {
+                    matches!(
+                        e,
+                        ObsEvent::Collector {
+                            progress: false,
+                            ..
+                        }
+                    )
+                });
+                let retry_events = count(|e| matches!(e, ObsEvent::SegmentRetry { .. }));
+                assert_eq!(out.plan_switches, accepts, "{ctx}");
+                assert_eq!(out.collector_reports, finals, "{ctx}");
+                assert_eq!(out.segment_retries, retry_events, "{ctx}");
+                switches += out.plan_switches;
+                reports += out.collector_reports;
+                retries += out.segment_retries;
+            }
+        }
+    }
+    // Not vacuous: every counter is exercised.
+    assert!(
+        switches > 0 && reports > 0 && retries > 0,
+        "switches {switches}, reports {reports}, retries {retries}"
+    );
+}
