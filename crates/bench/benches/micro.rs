@@ -8,7 +8,8 @@
 //! shows up as a smeared Fig. 10.
 //!
 //! ```text
-//! cargo bench -p mq-bench --bench micro
+//! cargo bench -p mq-bench --bench micro            # every benchmark
+//! cargo bench -p mq-bench --bench micro -- btree   # names containing "btree"
 //! ```
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -43,14 +44,23 @@ fn bench_btree(c: &mut Criterion) {
                 black_box(idx)
             })
         });
-        group.bench_with_input(BenchmarkId::new("lookup", n), &n, |b, &n| {
-            let cfg = EngineConfig::default();
-            let st = Storage::new(&cfg, SimClock::new());
-            let idx = st.create_index().unwrap();
-            for i in 0..n {
-                st.index_insert(idx, &Value::Int(i as i64), mq_common_rid(i))
-                    .unwrap();
-            }
+    }
+    // Probes are microseconds each: take many samples per case.
+    group.sample_size(500);
+    let default_pool = EngineConfig::default();
+    // The benchmark workloads' regime: a 64-frame pool the index does
+    // not fit in, so probes evict and re-read index pages.
+    let small_pool = EngineConfig {
+        buffer_pool_pages: 64,
+        ..EngineConfig::default()
+    };
+    for (case, cfg, n) in [
+        ("lookup", &default_pool, 1_000u64),
+        ("lookup", &default_pool, 10_000),
+        ("lookup_pool64", &small_pool, 100_000),
+    ] {
+        group.bench_with_input(BenchmarkId::new(case, n), &n, |b, &n| {
+            let (st, idx) = int_index(cfg, n);
             let mut rng = DetRng::new(11);
             b.iter(|| {
                 let k = rng.gen_range(n) as i64;
@@ -58,7 +68,32 @@ fn bench_btree(c: &mut Criterion) {
             })
         });
     }
+    // 100 consecutive keys: one or two leaves past the descent.
+    let n = 10_000u64;
+    group.bench_with_input(BenchmarkId::new("range", n), &n, |b, &n| {
+        let (st, idx) = int_index(&default_pool, n);
+        let mut rng = DetRng::new(17);
+        b.iter(|| {
+            let lo = rng.gen_range(n - 100) as i64;
+            let hi = lo + 99;
+            black_box(
+                st.index_range(idx, Some(&Value::Int(lo)), Some(&Value::Int(hi)))
+                    .unwrap(),
+            )
+        })
+    });
     group.finish();
+}
+
+/// An index over the integer keys `0..n`, each pointing at its own rid.
+fn int_index(cfg: &EngineConfig, n: u64) -> (Storage, midq::common::IndexId) {
+    let st = Storage::new(cfg, SimClock::new());
+    let idx = st.create_index().unwrap();
+    for i in 0..n {
+        st.index_insert(idx, &Value::Int(i as i64), mq_common_rid(i))
+            .unwrap();
+    }
+    (st, idx)
 }
 
 /// RIDs for index benches: fabricate distinct page/slot pairs.

@@ -223,12 +223,36 @@ impl Value {
     pub fn skip(buf: &[u8]) -> Result<usize> {
         RawValue::read(buf).map(|(_, used)| used)
     }
+
+    /// Compare `self` with the value encoded at the front of `buf`,
+    /// returning `self.cmp(&encoded)` and the bytes the encoding
+    /// occupies. Applies exactly the checks of [`Value::decode`] and
+    /// fails exactly when it does, but allocates nothing: the B+-tree
+    /// searches its pages with this, without building their keys.
+    #[inline]
+    pub fn cmp_encoded(&self, buf: &[u8]) -> Result<(Ordering, usize)> {
+        let (raw, used) = RawValue::read(buf)?;
+        Ok((self.raw().cmp(&raw), used))
+    }
+
+    /// Borrow the value as a [`RawValue`] (no allocation).
+    #[inline(always)]
+    fn raw(&self) -> RawValue<'_> {
+        match self {
+            Value::Null => RawValue::Null,
+            Value::Bool(b) => RawValue::Bool(*b),
+            Value::Int(i) => RawValue::Int(*i),
+            Value::Float(f) => RawValue::Float(*f),
+            Value::Date(d) => RawValue::Date(*d),
+            Value::Str(s) => RawValue::Str(s),
+        }
+    }
 }
 
 /// One checked value read in place: strings borrow the encoding.
-/// [`Value::decode`], [`Value::skip`] and the row decoders all walk the
-/// encoding through [`RawValue::read`], so they accept and reject the
-/// same bytes with the same errors.
+/// [`Value::decode`], [`Value::skip`], [`Value::cmp_encoded`] and the
+/// row decoders all walk the encoding through [`RawValue::read`], so
+/// they accept and reject the same bytes with the same errors.
 pub(crate) enum RawValue<'a> {
     Null,
     Bool(bool),
@@ -267,6 +291,36 @@ impl<'a> RawValue<'a> {
                 Ok((RawValue::Str(s), 5 + len))
             }
             t => Err(MqError::Storage(format!("unknown value tag {t}"))),
+        }
+    }
+
+    /// The value order of [`Value`]'s `Ord`, on borrowed values.
+    #[inline(always)]
+    fn cmp(&self, other: &RawValue<'_>) -> Ordering {
+        use RawValue::*;
+        fn rank(v: &RawValue<'_>) -> u8 {
+            match v {
+                Null => 0,
+                Bool(_) => 1,
+                Int(_) | Float(_) | Date(_) => 2,
+                Str(_) => 3,
+            }
+        }
+        // Numeric family: exact when both are integral, else as f64.
+        fn num(v: &RawValue<'_>) -> f64 {
+            match v {
+                Int(x) | Date(x) => *x as f64,
+                Float(f) => *f,
+                _ => f64::NEG_INFINITY,
+            }
+        }
+        match (self, other) {
+            (Null, Null) => Ordering::Equal,
+            (Bool(a), Bool(b)) => a.cmp(b),
+            (Str(a), Str(b)) => a.cmp(b),
+            (Int(x) | Date(x), Int(y) | Date(y)) => x.cmp(y),
+            (a, b) if rank(a) == 2 && rank(b) == 2 => num(a).total_cmp(&num(b)),
+            (a, b) => rank(a).cmp(&rank(b)),
         }
     }
 
@@ -334,33 +388,14 @@ impl PartialOrd for Value {
 
 /// Total order used by sorts and B+-trees: NULL first, then by type
 /// rank, then by value (floats via `total_cmp`, `Int`/`Float`/`Date`
-/// compare numerically within the shared numeric rank).
+/// compare numerically within the shared numeric rank). Defined once,
+/// over the borrowed form that decoding reads, so
+/// [`Value::cmp_encoded`] orders encoded keys exactly as this orders
+/// built ones.
 impl Ord for Value {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
-        fn rank(v: &Value) -> u8 {
-            match v {
-                Value::Null => 0,
-                Value::Bool(_) => 1,
-                Value::Int(_) | Value::Float(_) | Value::Date(_) => 2,
-                Value::Str(_) => 3,
-            }
-        }
-        match (self, other) {
-            (Value::Null, Value::Null) => Ordering::Equal,
-            (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
-            (Value::Str(a), Value::Str(b)) => a.as_ref().cmp(b.as_ref()),
-            (a, b) if rank(a) == 2 && rank(b) == 2 => {
-                // Numeric family: compare exactly when both are integral.
-                match (a, b) {
-                    (Value::Int(x) | Value::Date(x), Value::Int(y) | Value::Date(y)) => x.cmp(y),
-                    _ => a
-                        .as_f64()
-                        .unwrap_or(f64::NEG_INFINITY)
-                        .total_cmp(&b.as_f64().unwrap_or(f64::NEG_INFINITY)),
-                }
-            }
-            (a, b) => rank(a).cmp(&rank(b)),
-        }
+        self.raw().cmp(&other.raw())
     }
 }
 

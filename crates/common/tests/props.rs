@@ -1,5 +1,7 @@
 //! Property-based tests for the core value types.
 
+use std::cmp::Ordering;
+
 use mq_common::value::{civil_to_days, days_to_civil};
 use mq_common::{Row, Value};
 use proptest::prelude::*;
@@ -51,6 +53,30 @@ fn decoders_agree(bytes: &[u8], wanted: &[bool]) -> Result<(), TestCaseError> {
             }
         }
     }
+    Ok(())
+}
+
+/// Keys that often tie: small numbers shared by `Int`, `Float` and
+/// `Date` (so `Int(2)` meets `Float(2.0)`), both booleans, short
+/// strings over two letters, and NULL — plus every shape of
+/// [`arb_value`].
+fn arb_key() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        arb_value(),
+        (-3i64..3).prop_map(Value::Int),
+        (-6i64..6).prop_map(|h| Value::Float(h as f64 / 2.0)),
+        (-3i64..3).prop_map(Value::Date),
+        "[ab]{0,3}".prop_map(Value::str),
+        "[aé😀]{0,3}".prop_map(Value::str),
+    ]
+}
+
+/// `cmp_encoded` must agree with decoding then comparing: on `bytes`
+/// it yields `probe.cmp(&decoded)` and the decoded length, or
+/// `decode`'s exact error.
+fn cmp_encoded_agrees(probe: &Value, bytes: &[u8]) -> Result<(), TestCaseError> {
+    let expect = Value::decode(bytes).map(|(v, used)| (probe.cmp(&v), used));
+    prop_assert_eq!(probe.cmp_encoded(bytes), expect);
     Ok(())
 }
 
@@ -122,11 +148,55 @@ proptest! {
         }
     }
 
+    /// On a valid encoding, followed by the bytes of whatever comes
+    /// next in a page, `cmp_encoded` orders the probe exactly as `Ord`
+    /// orders it against the decoded value and reports the value's
+    /// length.
+    #[test]
+    fn cmp_encoded_orders_like_decode(
+        probe in arb_key(),
+        v in arb_key(),
+        tail in prop::collection::vec(any::<u8>(), 0..4),
+    ) {
+        let mut buf = Vec::new();
+        v.encode(&mut buf);
+        buf.extend_from_slice(&tail);
+        prop_assert_eq!(
+            probe.cmp_encoded(&buf),
+            Ok((probe.cmp(&v), v.encoded_len()))
+        );
+        cmp_encoded_agrees(&probe, &buf)?;
+        prop_assert_eq!(v.cmp_encoded(&buf).map(|(o, _)| o), Ok(Ordering::Equal));
+    }
+
+    /// Under every truncation and every single-byte flip of a valid
+    /// encoding, `cmp_encoded` fails exactly when `decode` does, with
+    /// the same error, and otherwise agrees with it.
+    #[test]
+    fn cmp_encoded_fails_like_decode(
+        probe in arb_key(),
+        v in arb_key(),
+        flip in 1u32..256,
+    ) {
+        let mut buf = Vec::new();
+        v.encode(&mut buf);
+        for cut in 0..buf.len() {
+            cmp_encoded_agrees(&probe, &buf[..cut])?;
+        }
+        let mut damaged = buf.clone();
+        for i in 0..damaged.len() {
+            damaged[i] ^= flip as u8;
+            cmp_encoded_agrees(&probe, &damaged)?;
+            damaged[i] = buf[i];
+        }
+    }
+
     /// Decoding arbitrary garbage never panics (errors are fine).
     #[test]
     fn decode_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..200)) {
         let _ = Value::decode(&bytes);
         let _ = Value::skip(&bytes);
+        let _ = Value::Int(0).cmp_encoded(&bytes);
         let _ = Row::decode(&bytes);
         let _ = Row::validate(&bytes);
         let _ = Row::decode_cols(&bytes, &[true, false, true], &mut Row::default());

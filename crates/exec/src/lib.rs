@@ -62,16 +62,21 @@ pub fn build_executor(plan: &PhysPlan) -> Result<Box<dyn Operator>> {
 }
 
 /// Like [`build_executor`], but any node whose id appears in
-/// `overrides` is replaced by the supplied operator (wrapped in the
-/// same `Profiled` shim, so actuals are still recorded against that
-/// node). The partitioned driver uses this to substitute pre-routed
-/// bucket inputs ([`RowsExec`]) at exchange-child positions while the
-/// rest of the segment builds normally.
+/// `overrides` is replaced by the supplied operator. The partitioned
+/// driver uses this to substitute pre-routed bucket inputs
+/// ([`RowsExec`]) at exchange positions and page-ranged scans at chunk
+/// positions while the rest of the segment builds normally. A scan
+/// override keeps the `Profiled` shim, so its actuals add up across
+/// chunks; an exchange override does not, because the driver records
+/// each exchange's rows once, not once per bucket run.
 pub fn build_executor_with(
     plan: &PhysPlan,
     overrides: &mut HashMap<NodeId, Box<dyn Operator>>,
 ) -> Result<Box<dyn Operator>> {
     if let Some(op) = overrides.remove(&plan.id) {
+        if matches!(plan.op, PhysOp::Exchange { .. }) {
+            return Ok(op);
+        }
         return Ok(Box::new(Profiled::new(plan.id, op)));
     }
     Ok(Box::new(Profiled::new(

@@ -1,9 +1,14 @@
-//! Property tests: the B+-tree against a `BTreeMap` model, heap files
-//! against a `Vec` model, and the buffer pool against direct storage.
+//! Property tests: the B+-tree against `BTreeMap` and sorted-`Vec`
+//! models, heap files against a `Vec` model, and the buffer pool
+//! against direct storage.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use mq_common::{EngineConfig, Row, SimClock, Value};
+use mq_common::{EngineConfig, PageId, Rid, Row, SimClock, Value};
+use mq_storage::btree::BTree;
+use mq_storage::buffer::BufferPool;
+use mq_storage::disk::SimDisk;
 use mq_storage::Storage;
 use proptest::prelude::*;
 
@@ -119,5 +124,73 @@ proptest! {
             .map(|r| st.fetch(*r).unwrap().get(0).as_str().unwrap().to_string())
             .collect();
         prop_assert_eq!(keys, sorted);
+    }
+}
+
+/// Index keys of every type, drawn from small domains so they tie
+/// often: `Int`, `Float` and `Date` share numbers (`Int(2)` equals
+/// `Float(2.0)`), and strings come from three letters.
+fn arb_key() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::Null),
+        any::<bool>().prop_map(Value::Bool),
+        (-12i64..12).prop_map(Value::Int),
+        (-24i64..24).prop_map(|h| Value::Float(h as f64 / 2.0)),
+        (-12i64..12).prop_map(Value::Date),
+        "[a-c]{0,5}".prop_map(Value::str),
+    ]
+}
+
+/// A model of the tree: every `(key, rid)` in key order, equal keys in
+/// insertion order (the tree inserts after every equal key).
+fn model_range(model: &[(Value, Rid)], lo: Option<&Value>, hi: Option<&Value>) -> Vec<Rid> {
+    model
+        .iter()
+        .filter(|(k, _)| lo.is_none_or(|lo| k >= lo) && hi.is_none_or(|hi| k <= hi))
+        .map(|(_, r)| *r)
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// On 512-byte pages through a 16-frame pool, with mixed-type keys
+    /// inserted in duplicate runs long enough to span several leaves,
+    /// `lookup` and `range` (both bounds, one, or none) return exactly
+    /// what a sorted `Vec` holds, and the tree's invariants hold.
+    #[test]
+    fn btree_matches_sorted_vec_on_mixed_keys(
+        runs in prop::collection::vec((arb_key(), 1usize..60), 1..40),
+        probes in prop::collection::vec(arb_key(), 1..20),
+        bounds in prop::collection::vec((arb_key(), arb_key()), 1..12),
+    ) {
+        let pool = BufferPool::new(Arc::new(SimDisk::new(512, SimClock::new())), 16);
+        let mut tree = BTree::create(&pool).unwrap();
+        let mut model: Vec<(Value, Rid)> = Vec::new();
+        for (key, len) in &runs {
+            for _ in 0..*len {
+                let n = model.len() as u64;
+                let rid = Rid::new(PageId(n / 8), (n % 8) as u16);
+                tree.insert(&pool, key, rid).unwrap();
+                model.push((key.clone(), rid));
+            }
+        }
+        // Stable: equal keys keep their insertion order.
+        model.sort_by(|a, b| a.0.cmp(&b.0));
+        prop_assert_eq!(tree.check_invariants(&pool).unwrap(), model.len());
+        prop_assert_eq!(tree.range(&pool, None, None).unwrap(), model_range(&model, None, None));
+        for key in probes.iter().chain(runs.iter().map(|(k, _)| k)) {
+            let expect = model_range(&model, Some(key), Some(key));
+            prop_assert_eq!(tree.lookup(&pool, key).unwrap(), expect, "lookup {}", key);
+        }
+        for (lo, hi) in &bounds {
+            for (lo, hi) in [(Some(lo), Some(hi)), (Some(lo), None), (None, Some(hi))] {
+                prop_assert_eq!(
+                    tree.range(&pool, lo, hi).unwrap(),
+                    model_range(&model, lo, hi),
+                    "range {:?}..={:?}", lo, hi
+                );
+            }
+        }
     }
 }

@@ -168,6 +168,41 @@ fn results_and_stable_metrics_identical_across_partition_counts() {
     }
 }
 
+/// EXPLAIN ANALYZE's actual rows for an exchange are the rows it
+/// routed, as its `exchange` event reports them: the bucket runs that
+/// read the routed rows do not count them again (Q10's nation
+/// broadcast shows 25 rows, not 25 per bucket run on top).
+#[test]
+fn exchange_actual_rows_equal_their_exchange_events() {
+    for (name, q) in [("Q3", queries::q3()), ("Q10", queries::q10())] {
+        let out = load_db(0.002, 1.0)
+            .query_plan(&q)
+            .mode(ReoptMode::Off)
+            .partitions(4)
+            .run()
+            .unwrap_or_else(|e| panic!("{name} P=4: {e}"));
+        let mut checked = 0;
+        out.final_plan.walk(&mut |n| {
+            if !matches!(n.op, midq::plan::PhysOp::Exchange { .. }) {
+                return;
+            }
+            let routed = out
+                .events
+                .iter()
+                .rev()
+                .find_map(|e| match e {
+                    ObsEvent::Exchange { node, rows, .. } if *node == n.id.0 as u64 => Some(*rows),
+                    _ => None,
+                })
+                .unwrap_or_else(|| panic!("{name} op#{}: no exchange event", n.id.0));
+            let actual = out.actuals.get(&n.id).map_or(0, |a| a.rows);
+            assert_eq!(actual, routed, "{name} op#{} actual rows", n.id.0);
+            checked += 1;
+        });
+        assert!(checked > 0, "{name}: no exchange in the final plan");
+    }
+}
+
 /// Collector reports still flow under partitioned execution: the
 /// per-bucket parts are merged at the exchange barrier and delivered
 /// once per collection site, so Full mode sees observed cardinalities.
