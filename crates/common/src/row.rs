@@ -43,6 +43,7 @@ impl Row {
     /// narrower than the requested index (a malformed plan binding,
     /// never a user error — but one the engine should report, not
     /// panic over).
+    #[inline]
     pub fn try_get(&self, idx: usize) -> Result<&Value> {
         self.values.get(idx).ok_or_else(|| {
             crate::error::MqError::Execution(format!(

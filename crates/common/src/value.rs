@@ -125,6 +125,7 @@ impl Value {
 
     /// SQL three-valued comparison. Returns `None` when either side is
     /// NULL or the types are incomparable.
+    #[inline]
     pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
         use Value::*;
         match (self, other) {

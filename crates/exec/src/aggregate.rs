@@ -146,6 +146,24 @@ impl AggState {
     }
 }
 
+/// The group key of `row`: its `group` columns. A single-column key
+/// borrows the row's value; a composite key is cloned into `scratch`,
+/// whose allocation is reused from row to row.
+fn group_key<'a>(
+    group: &[usize],
+    row: &'a Row,
+    scratch: &'a mut Vec<Value>,
+) -> Result<&'a [Value]> {
+    if let [i] = group {
+        return Ok(std::slice::from_ref(row.try_get(*i)?));
+    }
+    scratch.clear();
+    for &i in group {
+        scratch.push(row.try_get(i)?.clone());
+    }
+    Ok(scratch)
+}
+
 /// Hash-aggregate operator.
 pub struct HashAggregateExec {
     node: NodeId,
@@ -179,21 +197,21 @@ impl HashAggregateExec {
         }
     }
 
-    fn group_key(&self, row: &Row) -> Result<Vec<Value>> {
-        self.group
-            .iter()
-            .map(|&i| row.try_get(i).cloned())
-            .collect()
-    }
-
     fn fold(&self, states: &mut [AggState], row: &Row) -> Result<()> {
         for (st, agg) in states.iter_mut().zip(&self.aggs) {
             match &agg.arg {
-                Some(e) => st.update(Some(&e.eval(row)?)),
+                Some(e) => {
+                    let v = e.eval(row)?;
+                    st.update(Some(&v));
+                }
                 None => st.update(None),
             }
         }
         Ok(())
+    }
+
+    fn new_states(&self) -> Vec<AggState> {
+        self.aggs.iter().map(|a| AggState::new(a.func)).collect()
     }
 
     fn aggregate_stream(
@@ -209,17 +227,13 @@ impl HashAggregateExec {
             .clamp(2, 16);
         let mut parts: Option<Vec<FileId>> = None;
         let mut bytes = 0usize;
+        let mut scratch = Vec::new();
         while let Some(row) = self.input.next(ctx)? {
             ctx.clock.add_cpu(2 + self.aggs.len() as u64);
-            let key = self.group_key(&row)?;
-            if let Some(states) = out.get_mut(&key) {
+            let key = group_key(&self.group, &row, &mut scratch)?;
+            if let Some(states) = out.get_mut(key) {
                 // Existing group: in-place update, no growth.
-                for (st, agg) in states.iter_mut().zip(&self.aggs) {
-                    match &agg.arg {
-                        Some(e) => st.update(Some(&e.eval(&row)?)),
-                        None => st.update(None),
-                    }
-                }
+                self.fold(states, &row)?;
                 continue;
             }
             // The table stores only the group key and the aggregate
@@ -239,16 +253,15 @@ impl HashAggregateExec {
                 // New group but no memory: spill the raw row.
                 let files = parts
                     .get_or_insert_with(|| (0..nparts).map(|_| ctx.create_temp_file()).collect());
-                let p = (hash_key(&key, 3) % nparts as u64) as usize;
+                let p = (hash_key(key, 3) % nparts as u64) as usize;
                 ctx.storage.append_row(files[p], &row)?;
                 ctx.clock.add_cpu(1);
                 continue;
             }
             bytes += entry_bytes;
-            let mut states: Vec<AggState> =
-                self.aggs.iter().map(|a| AggState::new(a.func)).collect();
+            let mut states = self.new_states();
             self.fold(&mut states, &row)?;
-            out.insert(key, states);
+            out.insert(key.to_vec(), states);
         }
         Ok(parts.unwrap_or_default())
     }
@@ -280,10 +293,7 @@ impl Operator for HashAggregateExec {
         // Scalar aggregate (no GROUP BY) must emit one row even on
         // empty input.
         if self.group.is_empty() {
-            table.insert(
-                Vec::new(),
-                self.aggs.iter().map(|a| AggState::new(a.func)).collect(),
-            );
+            table.insert(Vec::new(), self.new_states());
         }
 
         let parts = self.aggregate_stream(ctx, grant, &mut table)?;
@@ -294,19 +304,19 @@ impl Operator for HashAggregateExec {
 
         // Aggregate each spilled partition (reading it back = the
         // second pass the cost model charges).
+        let mut scratch = Vec::new();
         for part in parts {
             let mut sub: DetHashMap<Vec<Value>, Vec<AggState>> = DetHashMap::default();
             for item in ctx.storage.scan_file(part)? {
                 let (_, row) = item?;
                 ctx.clock.add_cpu(2 + self.aggs.len() as u64);
-                let key = self.group_key(&row)?;
-                let states = sub
-                    .entry(key)
-                    .or_insert_with(|| self.aggs.iter().map(|a| AggState::new(a.func)).collect());
-                for (st, agg) in states.iter_mut().zip(&self.aggs) {
-                    match &agg.arg {
-                        Some(e) => st.update(Some(&e.eval(&row)?)),
-                        None => st.update(None),
+                let key = group_key(&self.group, &row, &mut scratch)?;
+                match sub.get_mut(key) {
+                    Some(states) => self.fold(states, &row)?,
+                    None => {
+                        let mut states = self.new_states();
+                        self.fold(&mut states, &row)?;
+                        sub.insert(key.to_vec(), states);
                     }
                 }
             }
@@ -314,29 +324,21 @@ impl Operator for HashAggregateExec {
             ctx.free_temp_file(part);
         }
 
-        // Deterministic output order (HashMap order is arbitrary).
-        output.sort_by(|a, b| {
-            let ka: Vec<&Value> = self
-                .group
-                .iter()
-                .enumerate()
-                .map(|(i, _)| a.get(i))
-                .collect();
-            let kb: Vec<&Value> = self
-                .group
-                .iter()
-                .enumerate()
-                .map(|(i, _)| b.get(i))
-                .collect();
-            ka.cmp(&kb)
-        });
+        // Deterministic output order (HashMap order is arbitrary): by
+        // the group columns, which lead every output row.
+        let n = self.group.len();
+        output.sort_by(|a, b| a.values()[..n].cmp(&b.values()[..n]));
 
-        ctx.put_artifact(self.node, Artifact::AggOutput(output.clone()));
-        self.output = output;
-        self.pos = 0;
-        ctx.notify_phase(self.node)?;
-        ctx.take_artifact(self.node);
-        Ok(())
+        match ctx.notify_phase_with(self.node, Artifact::AggOutput(output))? {
+            Artifact::AggOutput(rows) => {
+                self.output = rows;
+                self.pos = 0;
+                Ok(())
+            }
+            _ => Err(MqError::Internal(
+                "aggregate artifact changed kind at its phase hook".into(),
+            )),
+        }
     }
 
     fn next(&mut self, ctx: &ExecContext) -> Result<Option<Row>> {

@@ -403,6 +403,21 @@ impl ExecContext {
         }
     }
 
+    /// Fire the phase-complete hook of a blocking operator with its
+    /// finished state parked in the artifact store, so a plan switch at
+    /// the hook (`PlanSwitch`) leaves the work there for the resumed
+    /// plan. On `Ok` the state is handed back to the operator.
+    pub fn notify_phase_with(&self, node: NodeId, state: Artifact) -> Result<Artifact> {
+        self.put_artifact(node, state);
+        self.notify_phase(node)?;
+        self.take_artifact(node).ok_or_else(|| {
+            MqError::Internal(format!(
+                "artifact of node {} vanished at its phase hook",
+                node.0
+            ))
+        })
+    }
+
     /// Take an artifact (consuming it).
     pub fn take_artifact(&self, node: NodeId) -> Option<Artifact> {
         self.artifacts.borrow_mut().remove(&node)

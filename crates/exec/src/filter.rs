@@ -69,7 +69,7 @@ impl Operator for ProjectExec {
                 ctx.clock.add_cpu(self.exprs.len() as u64);
                 let mut out = Vec::with_capacity(self.exprs.len());
                 for (e, _) in &self.exprs {
-                    out.push(e.eval(&row)?);
+                    out.push(e.eval(&row)?.into_owned());
                 }
                 Ok(Some(Row::new(out)))
             }

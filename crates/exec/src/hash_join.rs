@@ -35,12 +35,13 @@ pub struct HashJoinExec {
     grant_fallback: usize,
     phase: Phase,
     pending: Vec<Row>,
-    build_skipped: bool,
     /// `probe_keys` as a column mask, for decoding spilled probe
     /// records key-first.
     probe_key_cols: Vec<bool>,
     /// Reused key-only decode of the current spilled probe record.
     probe_scratch: Row,
+    /// Reused buffer for composite join keys (see [`join_key`]).
+    key_scratch: Vec<Value>,
 }
 
 enum Phase {
@@ -88,31 +89,17 @@ impl HashJoinExec {
             grant_fallback,
             phase: Phase::Unopened,
             pending: Vec::new(),
-            build_skipped: false,
             probe_key_cols,
             probe_scratch: Row::default(),
+            key_scratch: Vec::new(),
         }
-    }
-
-    fn key_of(row: &Row, keys: &[usize]) -> Option<Vec<Value>> {
-        let mut out = Vec::with_capacity(keys.len());
-        for &k in keys {
-            let v = row.get(k);
-            if v.is_null() {
-                return None; // NULL never joins
-            }
-            out.push(v.clone());
-        }
-        Some(out)
     }
 
     /// Run the build phase (unless an artifact already exists).
     fn run_build(&mut self, ctx: &ExecContext) -> Result<()> {
         if let Some(Artifact::HashBuild(hb)) = ctx.take_artifact(self.node) {
             // Resuming after a plan switch: the build is already done.
-            self.build_skipped = true;
-            self.install_build(ctx, hb)?;
-            return Ok(());
+            return self.install_build(hb);
         }
         // Open the build child FIRST: lower segments run to completion
         // inside this call, and the controller may re-allocate memory
@@ -142,14 +129,20 @@ impl HashJoinExec {
                     usable = (grant as f64 / HASH_OVERHEAD) as usize;
                 }
             }
-            let key = match Self::key_of(&row, &self.build_keys) {
-                Some(k) => k,
-                None => continue,
+            let Some(key) = join_key(&row, &self.build_keys, &mut self.key_scratch) else {
+                continue;
             };
             match &mut parts {
                 None => {
                     bytes += row.encoded_len() + 16;
-                    table.entry(key).or_default().push(row);
+                    // Only a key new to the table is copied into an
+                    // owned key.
+                    match table.get_mut(key) {
+                        Some(rows) => rows.push(row),
+                        None => {
+                            table.insert(key.to_vec(), vec![row]);
+                        }
+                    }
                     if bytes > usable {
                         mq_obs::emit(|| mq_obs::ObsEvent::Spill {
                             node: self.node.0 as u64,
@@ -172,7 +165,7 @@ impl HashJoinExec {
                 }
                 Some(files) => {
                     ctx.clock.add_cpu(1);
-                    let p = (hash_key(&key, 1) % files.len() as u64) as usize;
+                    let p = (hash_key(key, 1) % files.len() as u64) as usize;
                     ctx.storage.append_row(files[p], &row)?;
                 }
             }
@@ -183,20 +176,15 @@ impl HashJoinExec {
             parts,
             rows,
         };
-        // Externalize *before* the hook so a PlanSwitch keeps the work.
-        ctx.put_artifact(self.node, Artifact::HashBuild(dup_metadata(&hb)));
-        self.install_build_inner(hb)?;
-        ctx.notify_phase(self.node)?;
-        // The hook let us continue: reclaim the artifact (we own it).
-        ctx.take_artifact(self.node);
-        Ok(())
+        match ctx.notify_phase_with(self.node, Artifact::HashBuild(hb))? {
+            Artifact::HashBuild(hb) => self.install_build(hb),
+            _ => Err(MqError::Internal(
+                "hash join artifact changed kind at its phase hook".into(),
+            )),
+        }
     }
 
-    fn install_build(&mut self, _ctx: &ExecContext, hb: HashBuild) -> Result<()> {
-        self.install_build_inner(hb)
-    }
-
-    fn install_build_inner(&mut self, hb: HashBuild) -> Result<()> {
+    fn install_build(&mut self, hb: HashBuild) -> Result<()> {
         self.phase = match (hb.in_mem, hb.parts) {
             (Some(table), _) => Phase::InMem { table },
             (None, Some(build_parts)) => Phase::NeedProbePartition { build_parts },
@@ -211,8 +199,8 @@ impl HashJoinExec {
         self.probe.open(ctx)?;
         while let Some(row) = self.probe.next(ctx)? {
             ctx.clock.add_cpu(2);
-            if let Some(key) = Self::key_of(&row, &self.probe_keys) {
-                let p = (hash_key(&key, 1) % nparts as u64) as usize;
+            if let Some(key) = join_key(&row, &self.probe_keys, &mut self.key_scratch) {
+                let p = (hash_key(key, 1) % nparts as u64) as usize;
                 ctx.storage.append_row(files[p], &row)?;
             }
         }
@@ -270,8 +258,13 @@ impl HashJoinExec {
                 let row = Row::decode(rec)?.0;
                 ctx.clock.add_cpu(2);
                 bytes += row.encoded_len() + 16;
-                if let Some(key) = Self::key_of(&row, &self.build_keys) {
-                    table.entry(key).or_default().push(row);
+                if let Some(key) = join_key(&row, &self.build_keys, &mut self.key_scratch) {
+                    match table.get_mut(key) {
+                        Some(rows) => rows.push(row),
+                        None => {
+                            table.insert(key.to_vec(), vec![row]);
+                        }
+                    }
                 }
                 idx += 1;
             }
@@ -304,8 +297,10 @@ impl HashJoinExec {
                 let (_, rec) = item?;
                 Row::decode_cols(rec, &self.probe_key_cols, &mut self.probe_scratch)?;
                 ctx.clock.add_cpu(2);
-                if let Some(key) = Self::key_of(&self.probe_scratch, &self.probe_keys) {
-                    if let Some(matches) = table.get(&key) {
+                if let Some(key) =
+                    join_key(&self.probe_scratch, &self.probe_keys, &mut self.key_scratch)
+                {
+                    if let Some(matches) = table.get(key) {
                         let row = Row::decode(rec)?.0;
                         for b in matches {
                             ctx.clock.add_cpu(1);
@@ -359,17 +354,24 @@ fn partition_count(grant: usize, page_size: usize, pool_pages: usize) -> usize {
     by_grant.min(by_pool).clamp(2, MAX_PARTS)
 }
 
-/// A copy of the finished build for the artifact store, so a plan
-/// switch at the phase hook keeps the build work. The operator keeps
-/// the original. An in-memory table is deep-copied, rows and all, on
-/// every hash join; a spilled build copies only its file list, and both
-/// copies name the same spill files.
-fn dup_metadata(hb: &HashBuild) -> HashBuild {
-    HashBuild {
-        in_mem: hb.in_mem.clone(),
-        parts: hb.parts.clone(),
-        rows: hb.rows,
+/// The join key of `row`, or `None` when a key column is NULL (NULL
+/// never joins). A single-column key borrows the row's value; a
+/// composite key is cloned into `scratch`, whose allocation is reused
+/// from row to row.
+fn join_key<'a>(row: &'a Row, keys: &[usize], scratch: &'a mut Vec<Value>) -> Option<&'a [Value]> {
+    if let [k] = keys {
+        let v = row.get(*k);
+        return (!v.is_null()).then_some(std::slice::from_ref(v));
     }
+    scratch.clear();
+    for &k in keys {
+        let v = row.get(k);
+        if v.is_null() {
+            return None;
+        }
+        scratch.push(v.clone());
+    }
+    Some(scratch)
 }
 
 impl Operator for HashJoinExec {
@@ -392,8 +394,8 @@ impl Operator for HashJoinExec {
                 Phase::InMem { table } => match self.probe.next(ctx)? {
                     Some(row) => {
                         ctx.clock.add_cpu(2);
-                        if let Some(key) = Self::key_of(&row, &self.probe_keys) {
-                            if let Some(matches) = table.get(&key) {
+                        if let Some(key) = join_key(&row, &self.probe_keys, &mut self.key_scratch) {
+                            if let Some(matches) = table.get(key) {
                                 for b in matches {
                                     ctx.clock.add_cpu(1);
                                     self.pending.push(b.concat(&row));
@@ -442,10 +444,8 @@ impl Operator for HashJoinExec {
             }
         }
         self.phase = Phase::Done;
-        if !self.build_skipped {
-            // Build child was closed at end of build; probe child may
-            // still be open.
-        }
+        // The build child was closed at the end of the build; the probe
+        // child may still be open.
         self.probe.close(ctx).ok();
         Ok(())
     }

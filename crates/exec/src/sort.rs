@@ -101,6 +101,10 @@ impl SortExec {
     }
 }
 
+fn kind_changed() -> MqError {
+    MqError::Internal("sort artifact changed kind at its phase hook".into())
+}
+
 impl MergeState {
     fn open(files: Vec<FileId>, ctx: &ExecContext) -> Result<MergeState> {
         let mut scans = Vec::with_capacity(files.len());
@@ -211,11 +215,10 @@ impl Operator for SortExec {
 
         if runs.is_empty() {
             self.sort_rows(&mut buffer, ctx);
-            ctx.put_artifact(self.node, Artifact::SortedRows(buffer.clone()));
-            self.state = State::InMem {
-                rows: buffer,
-                pos: 0,
-            };
+            match ctx.notify_phase_with(self.node, Artifact::SortedRows(buffer))? {
+                Artifact::SortedRows(rows) => self.state = State::InMem { rows, pos: 0 },
+                _ => return Err(kind_changed()),
+            }
         } else {
             if !buffer.is_empty() {
                 self.sort_rows(&mut buffer, ctx);
@@ -228,11 +231,16 @@ impl Operator for SortExec {
                 .min(ctx.cfg.buffer_pool_pages / 2)
                 .max(2);
             let runs = self.reduce_runs(runs, fanin, ctx)?;
-            ctx.put_artifact(self.node, Artifact::SortedRuns(runs.clone()));
-            self.state = State::Merging(MergeState::open(runs, ctx)?);
+            // The merge reads each run's first page before the hook; only
+            // the run list is parked across it.
+            let mut ms = MergeState::open(runs, ctx)?;
+            let runs = std::mem::take(&mut ms.files);
+            match ctx.notify_phase_with(self.node, Artifact::SortedRuns(runs))? {
+                Artifact::SortedRuns(files) => ms.files = files,
+                _ => return Err(kind_changed()),
+            }
+            self.state = State::Merging(ms);
         }
-        ctx.notify_phase(self.node)?;
-        ctx.take_artifact(self.node);
         Ok(())
     }
 

@@ -34,20 +34,25 @@ impl Fx {
     }
 
     fn table(&self, name: &str, rows: &[(i64, i64)]) -> PhysPlan {
+        let rows: Vec<Row> = rows
+            .iter()
+            .map(|&(k, v)| Row::new(vec![Value::Int(k), Value::Int(v)]))
+            .collect();
+        self.table_of(
+            name,
+            vec![("k", DataType::Int), ("v", DataType::Int)],
+            &rows,
+        )
+    }
+
+    /// A scan over a new table with the given columns and rows.
+    fn table_of(&self, name: &str, columns: Vec<(&str, DataType)>, rows: &[Row]) -> PhysPlan {
         self.catalog
-            .create_table(
-                &self.storage,
-                name,
-                vec![("k", DataType::Int), ("v", DataType::Int)],
-            )
+            .create_table(&self.storage, name, columns)
             .unwrap();
-        for &(k, v) in rows {
+        for row in rows {
             self.catalog
-                .insert_row(
-                    &self.storage,
-                    name,
-                    Row::new(vec![Value::Int(k), Value::Int(v)]),
-                )
+                .insert_row(&self.storage, name, row.clone())
                 .unwrap();
         }
         let entry = self.catalog.table(name).unwrap();
@@ -74,6 +79,50 @@ fn canon(rows: &[Row]) -> Vec<String> {
     let mut v: Vec<String> = rows.iter().map(|r| r.to_string()).collect();
     v.sort();
     v
+}
+
+/// Rows `(k Int, s Str, v Int)` whose `k` and `s` come from small
+/// domains that include NULL, so composite keys collide and NULL keys
+/// occur.
+fn arb_keyed_rows() -> impl Strategy<Value = Vec<Row>> {
+    let k = (0i64..5).prop_map(|k| if k == 4 { Value::Null } else { Value::Int(k) });
+    let s = (0usize..4).prop_map(|i| match i {
+        0 => Value::Null,
+        1 => Value::str(""),
+        2 => Value::str("ab"),
+        _ => Value::str("abcdefgh"),
+    });
+    prop::collection::vec((k, s, any::<i64>()), 0..300).prop_map(|rows| {
+        rows.into_iter()
+            .map(|(k, s, v)| Row::new(vec![k, s, Value::Int(v)]))
+            .collect()
+    })
+}
+
+const KEYED: [(&str, DataType); 3] = [
+    ("k", DataType::Int),
+    ("s", DataType::Str),
+    ("v", DataType::Int),
+];
+
+/// Grants for each operator test: one that holds any input in memory,
+/// and one small enough that larger inputs spill.
+const GRANTS: [(usize, bool); 2] = [(1 << 20, false), (512, true)];
+
+/// Run `plan` under a trace and report its rows and whether any
+/// operator spilled.
+fn run_traced(plan: &PhysPlan, fx: &Fx) -> (Vec<Row>, bool) {
+    let sink = std::sync::Arc::new(mq_obs::JsonlSink::new());
+    let obs = mq_obs::Obs::none().with_sink(sink.clone());
+    let rows = {
+        let _scope = obs.enter_scope();
+        run_to_vec(plan, &fx.ctx()).unwrap()
+    };
+    let spilled = sink
+        .lines()
+        .iter()
+        .any(|l| l.contains("\"event\":\"spill\""));
+    (rows, spilled)
 }
 
 proptest! {
@@ -237,6 +286,93 @@ proptest! {
         hj.assign_ids();
         let expect = run_to_vec(&hj, &fx.ctx()).unwrap();
         prop_assert_eq!(canon(&got), canon(&expect));
+    }
+
+    /// Hybrid hash join on the composite key `(k, s)`, with NULLs in
+    /// both key columns, equals the nested-loop oracle in memory and
+    /// spilled.
+    #[test]
+    fn hash_join_composite_null_keys(left in arb_keyed_rows(), right in arb_keyed_rows()) {
+        let mut oracle = Vec::new();
+        for l in &left {
+            for r in &right {
+                let keys_match = (0..2).all(|i| {
+                    !l.get(i).is_null() && !r.get(i).is_null() && l.get(i) == r.get(i)
+                });
+                if keys_match {
+                    oracle.push(l.concat(r));
+                }
+            }
+        }
+        for (grant, may_spill) in GRANTS {
+            let fx = Fx::new();
+            let a = fx.table_of("a", KEYED.to_vec(), &left);
+            let b = fx.table_of("b", KEYED.to_vec(), &right);
+            let schema = a.schema.join(&b.schema);
+            let mut plan = PhysPlan::new(
+                PhysOp::HashJoin { build_keys: vec![0, 1], probe_keys: vec![0, 1] },
+                vec![a, b],
+                schema,
+            );
+            plan.annot.mem_grant_bytes = grant;
+            plan.assign_ids();
+            let (got, spilled) = run_traced(&plan, &fx);
+            prop_assert_eq!(canon(&got), canon(&oracle));
+            prop_assert!(may_spill || !spilled, "a {} B grant spilled", grant);
+            prop_assert!(!may_spill || spilled || left.len() < 100, "{} build rows fit {} B", left.len(), grant);
+        }
+    }
+
+    /// Hash aggregation grouped by `(k, s)`, a string column with NULLs
+    /// among the keys, equals a map oracle in memory and spilled.
+    #[test]
+    fn aggregate_two_column_groups(rows in arb_keyed_rows()) {
+        use std::collections::BTreeMap;
+        let mut model: BTreeMap<(Value, Value), (i64, i128)> = BTreeMap::new();
+        for r in &rows {
+            let e = model.entry((r.get(0).clone(), r.get(1).clone())).or_insert((0, 0));
+            e.0 += 1;
+            e.1 += r.get(2).as_i64().unwrap() as i128;
+        }
+        for (grant, may_spill) in GRANTS {
+            let fx = Fx::new();
+            let input = fx.table_of("t", KEYED.to_vec(), &rows);
+            let in_schema = input.schema.clone();
+            let out_schema = mq_common::Schema::new(vec![
+                mq_common::Field::qualified("t", "k", DataType::Int),
+                mq_common::Field::qualified("t", "s", DataType::Str),
+                mq_common::Field::new("n", DataType::Int),
+                mq_common::Field::new("mn", DataType::Int),
+            ]).unwrap();
+            let arg = mq_expr::col("t.v").bind(&in_schema).unwrap();
+            let mut plan = PhysPlan::new(
+                PhysOp::HashAggregate {
+                    group: vec![0, 1],
+                    aggs: vec![
+                        AggExpr { func: AggFunc::Count, arg: None, name: "n".into() },
+                        AggExpr { func: AggFunc::Min, arg: Some(arg), name: "mn".into() },
+                    ],
+                },
+                vec![input],
+                out_schema,
+            );
+            plan.annot.mem_grant_bytes = grant;
+            plan.assign_ids();
+            let (got, spilled) = run_traced(&plan, &fx);
+            prop_assert!(may_spill || !spilled, "a {} B grant spilled", grant);
+            prop_assert!(!may_spill || spilled || model.len() < 10, "{} groups fit {} B", model.len(), grant);
+            prop_assert_eq!(got.len(), model.len());
+            for r in &got {
+                let (count, _) = model[&(r.get(0).clone(), r.get(1).clone())];
+                let min = rows
+                    .iter()
+                    .filter(|x| x.get(0) == r.get(0) && x.get(1) == r.get(1))
+                    .map(|x| x.get(2).as_i64().unwrap())
+                    .min();
+                prop_assert_eq!(r.get(2).as_i64(), Some(count));
+                prop_assert_eq!(r.get(3).as_i64(), min);
+            }
+        }
     }
 
     /// Limit returns a prefix of the unlimited stream.

@@ -13,6 +13,7 @@
 
 pub mod selectivity;
 
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -316,56 +317,22 @@ impl Expr {
         })
     }
 
-    /// Evaluate a bound expression against a row.
-    pub fn eval(&self, row: &Row) -> Result<Value> {
+    /// Evaluate a bound expression against a row. Column references
+    /// and literals are borrowed, from `row` and from the expression;
+    /// only computed values (comparisons, arithmetic, UDF results) are
+    /// owned. Call `into_owned` to keep the result past `row`.
+    #[inline]
+    pub fn eval<'a>(&'a self, row: &'a Row) -> Result<Cow<'a, Value>> {
         match self {
-            Expr::Column(name) => Err(MqError::Internal(format!(
-                "evaluating unbound column '{name}' (call bind first)"
-            ))),
-            Expr::BoundColumn { index, .. } => Ok(row.try_get(*index)?.clone()),
-            Expr::Literal(v) => Ok(v.clone()),
-            Expr::Cmp { op, left, right } => {
-                let l = left.eval(row)?;
-                let r = right.eval(row)?;
-                Ok(match l.sql_cmp(&r) {
-                    Some(ord) => Value::Bool(op.matches(ord)),
-                    None => Value::Null,
-                })
-            }
-            Expr::And(es) => {
-                let mut saw_null = false;
-                for e in es {
-                    match e.eval(row)? {
-                        Value::Bool(false) => return Ok(Value::Bool(false)),
-                        Value::Bool(true) => {}
-                        _ => saw_null = true,
-                    }
-                }
-                Ok(if saw_null {
-                    Value::Null
-                } else {
-                    Value::Bool(true)
-                })
-            }
-            Expr::Or(es) => {
-                let mut saw_null = false;
-                for e in es {
-                    match e.eval(row)? {
-                        Value::Bool(true) => return Ok(Value::Bool(true)),
-                        Value::Bool(false) => {}
-                        _ => saw_null = true,
-                    }
-                }
-                Ok(if saw_null {
-                    Value::Null
-                } else {
-                    Value::Bool(false)
-                })
-            }
-            Expr::Not(e) => Ok(match e.eval(row)? {
-                Value::Bool(b) => Value::Bool(!b),
-                _ => Value::Null,
-            }),
+            Expr::BoundColumn { index, .. } => Ok(Cow::Borrowed(row.try_get(*index)?)),
+            Expr::Literal(v) => Ok(Cow::Borrowed(v)),
+            _ => self.eval_computed(row).map(Cow::Owned),
+        }
+    }
+
+    /// [`Expr::eval`] of an expression that computes its value.
+    fn eval_computed(&self, row: &Row) -> Result<Value> {
+        match self {
             Expr::Arith { op, left, right } => {
                 let l = left.eval(row)?;
                 let r = right.eval(row)?;
@@ -376,9 +343,59 @@ impl Expr {
                     ArithOp::Div => l.div(&r),
                 }
             }
+            _ => Ok(match self.truth(row)? {
+                Some(b) => Value::Bool(b),
+                None => Value::Null,
+            }),
+        }
+    }
+
+    /// Three-valued truth of a bound expression: `None` is SQL NULL
+    /// (UNKNOWN). A value that is not a boolean is UNKNOWN too.
+    /// Connectives short-circuit left to right, so errors arrive in
+    /// operand order.
+    fn truth(&self, row: &Row) -> Result<Option<bool>> {
+        match self {
+            Expr::Column(name) => Err(MqError::Internal(format!(
+                "evaluating unbound column '{name}' (call bind first)"
+            ))),
+            Expr::Cmp { op, left, right } => {
+                let l = left.eval(row)?;
+                let r = right.eval(row)?;
+                Ok(l.sql_cmp(&r).map(|ord| op.matches(ord)))
+            }
+            Expr::And(es) => {
+                let mut saw_null = false;
+                for e in es {
+                    match e.truth(row)? {
+                        Some(false) => return Ok(Some(false)),
+                        Some(true) => {}
+                        None => saw_null = true,
+                    }
+                }
+                Ok((!saw_null).then_some(true))
+            }
+            Expr::Or(es) => {
+                let mut saw_null = false;
+                for e in es {
+                    match e.truth(row)? {
+                        Some(true) => return Ok(Some(true)),
+                        Some(false) => {}
+                        None => saw_null = true,
+                    }
+                }
+                Ok((!saw_null).then_some(false))
+            }
+            Expr::Not(e) => Ok(e.truth(row)?.map(|b| !b)),
             Expr::UdfPred { arg, udf, .. } => {
                 let v = arg.eval(row)?;
-                Ok(Value::Bool(udf.apply(&v)))
+                Ok(Some(udf.apply(&v)))
+            }
+            Expr::BoundColumn { .. } | Expr::Literal(_) | Expr::Arith { .. } => {
+                Ok(match *self.eval(row)? {
+                    Value::Bool(b) => Some(b),
+                    _ => None,
+                })
             }
         }
     }
@@ -386,7 +403,7 @@ impl Expr {
     /// Evaluate as a predicate: true only when the result is TRUE
     /// (SQL semantics — NULL filters out).
     pub fn eval_predicate(&self, row: &Row) -> Result<bool> {
-        Ok(self.eval(row)?.is_true())
+        Ok(self.truth(row)? == Some(true))
     }
 
     /// Reverse [`Expr::bind`]: turn bound column positions back into
@@ -576,7 +593,7 @@ mod tests {
         let r = row(0, 0.0, "");
         // NULL AND FALSE = FALSE; NULL AND TRUE = NULL.
         assert_eq!(
-            and(vec![null_cmp.clone(), f_.clone()]).eval(&r).unwrap(),
+            *and(vec![null_cmp.clone(), f_.clone()]).eval(&r).unwrap(),
             Value::Bool(false)
         );
         assert!(Expr::And(vec![null_cmp.clone(), t.clone()])
@@ -585,7 +602,7 @@ mod tests {
             .is_null());
         // NULL OR TRUE = TRUE; NULL OR FALSE = NULL.
         assert_eq!(
-            Expr::Or(vec![null_cmp.clone(), t]).eval(&r).unwrap(),
+            *Expr::Or(vec![null_cmp.clone(), t]).eval(&r).unwrap(),
             Value::Bool(true)
         );
         assert!(Expr::Or(vec![null_cmp, f_]).eval(&r).unwrap().is_null());
@@ -608,7 +625,7 @@ mod tests {
         }
         .bind(&schema())
         .unwrap();
-        assert_eq!(e.eval(&row(7, 0.0, "")).unwrap(), Value::Int(21));
+        assert_eq!(*e.eval(&row(7, 0.0, "")).unwrap(), Value::Int(21));
     }
 
     #[test]

@@ -378,8 +378,6 @@ pub fn enumerate(
             .filter(|m| m.count_ones() as usize == size - 1)
             .collect();
         masks.sort_unstable(); // determinism: HashMap order is arbitrary
-        let mut found_connected = vec![false; 0];
-        let _ = &mut found_connected;
         for mask in masks {
             let left = best.get(&mask).cloned().expect("present");
             // Prefer connected extensions; fall back to cross products

@@ -14,6 +14,9 @@ use crate::page;
 pub struct HeapFile {
     pages: Vec<PageId>,
     rows: u64,
+    /// Encoding of the row being appended; its allocation is reused
+    /// from append to append.
+    encode_buf: Vec<u8>,
 }
 
 impl HeapFile {
@@ -34,7 +37,9 @@ impl HeapFile {
 
     /// Append a row, allocating a fresh page when the last one is full.
     pub fn append(&mut self, pool: &BufferPool, row: &Row) -> Result<Rid> {
-        let bytes = row.to_bytes();
+        self.encode_buf.clear();
+        row.encode(&mut self.encode_buf);
+        let bytes = &self.encode_buf;
         if bytes.len() + 8 > pool.disk().page_size() {
             return Err(MqError::Storage(format!(
                 "row of {} bytes exceeds page size {}",
@@ -43,7 +48,7 @@ impl HeapFile {
             )));
         }
         if let Some(&last) = self.pages.last() {
-            let slot = pool.with_page_mut(last, |data| page::insert(data, &bytes))?;
+            let slot = pool.with_page_mut(last, |data| page::insert(data, bytes))?;
             if let Some(slot) = slot {
                 self.rows += 1;
                 return Ok(Rid::new(last, slot));
@@ -52,7 +57,7 @@ impl HeapFile {
         let pid = pool.alloc_page()?;
         let slot = match pool.with_page_mut(pid, |data| {
             page::init(data);
-            page::insert(data, &bytes)
+            page::insert(data, bytes)
         }) {
             Ok(slot) => slot,
             Err(e) => {

@@ -30,7 +30,7 @@ pub mod persist;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 
 use mq_common::{
     EngineConfig, FileId, IndexId, MqError, PageId, Result, Rid, Row, SimClock, Value,
@@ -52,7 +52,9 @@ pub struct Storage {
 struct StorageInner {
     pool: Arc<BufferPool>,
     files: Mutex<HashMap<FileId, HeapFile>>,
-    indexes: Mutex<HashMap<IndexId, BTree>>,
+    /// Probes walk a tree under the read lock, so concurrent sessions
+    /// probe in parallel; insert, create and drop take the write lock.
+    indexes: RwLock<HashMap<IndexId, BTree>>,
     /// Scratch tags: per-query ownership labels on in-flight temp
     /// files — the simulated equivalent of a per-query scratch
     /// directory. A crashed query's partial outputs are findable by
@@ -74,7 +76,7 @@ impl Storage {
             inner: Arc::new(StorageInner {
                 pool,
                 files: Mutex::new(HashMap::new()),
-                indexes: Mutex::new(HashMap::new()),
+                indexes: RwLock::new(HashMap::new()),
                 tags: Mutex::new(HashMap::new()),
                 next_file: Mutex::new(0),
                 next_index: Mutex::new(0),
@@ -232,13 +234,13 @@ impl Storage {
         let id = IndexId(*next);
         *next += 1;
         let tree = BTree::create(&self.inner.pool)?;
-        self.inner.indexes.lock().insert(id, tree);
+        self.inner.indexes.write().insert(id, tree);
         Ok(id)
     }
 
     /// Insert a key → rid pair into an index (duplicates allowed).
     pub fn index_insert(&self, index: IndexId, key: &Value, rid: Rid) -> Result<()> {
-        let mut indexes = self.inner.indexes.lock();
+        let mut indexes = self.inner.indexes.write();
         let tree = indexes
             .get_mut(&index)
             .ok_or_else(|| MqError::NotFound(format!("{index}")))?;
@@ -247,7 +249,7 @@ impl Storage {
 
     /// All rids whose key equals `key`.
     pub fn index_lookup(&self, index: IndexId, key: &Value) -> Result<Vec<Rid>> {
-        let indexes = self.inner.indexes.lock();
+        let indexes = self.inner.indexes.read();
         let tree = indexes
             .get(&index)
             .ok_or_else(|| MqError::NotFound(format!("{index}")))?;
@@ -261,7 +263,7 @@ impl Storage {
         lo: Option<&Value>,
         hi: Option<&Value>,
     ) -> Result<Vec<Rid>> {
-        let indexes = self.inner.indexes.lock();
+        let indexes = self.inner.indexes.read();
         let tree = indexes
             .get(&index)
             .ok_or_else(|| MqError::NotFound(format!("{index}")))?;
@@ -270,7 +272,7 @@ impl Storage {
 
     /// Height of an index (root-to-leaf node count), for cost models.
     pub fn index_height(&self, index: IndexId) -> Result<usize> {
-        let indexes = self.inner.indexes.lock();
+        let indexes = self.inner.indexes.read();
         indexes
             .get(&index)
             .map(BTree::height)
@@ -287,7 +289,7 @@ impl Storage {
             files.values().map(|hf| hf.pages().len()).sum()
         };
         let owned_by_indexes: usize = {
-            let indexes = self.inner.indexes.lock();
+            let indexes = self.inner.indexes.read();
             indexes.values().map(BTree::page_count).sum()
         };
         self.inner
