@@ -105,8 +105,9 @@ fn mq_common_rid(i: u64) -> midq::common::Rid {
 }
 
 /// A 20k-row heap shaped like TPC-D `lineitem` (12 columns, two short
-/// strings), scanned by `SeqScanExec` with no filter and with Q6's
-/// ~2%-selective filter.
+/// strings), scanned by `SeqScanExec` with no filter, with Q6's
+/// ~2%-selective filter, with Q1's date filter (~95% pass) and with
+/// Q10's string filter `l_returnflag = 'R'` (~1/3 pass).
 fn bench_seq_scan(c: &mut Criterion) {
     const ROWS: i64 = 20_000;
     let cfg = EngineConfig::default();
@@ -157,6 +158,12 @@ fn bench_seq_scan(c: &mut Criterion) {
     ])
     .bind(&schema)
     .unwrap();
+    let q1 = cmp(CmpOp::Le, col("l_shipdate"), lit(date(1998, 9, 2)))
+        .bind(&schema)
+        .unwrap();
+    let q10 = cmp(CmpOp::Eq, col("l_returnflag"), lit("R"))
+        .bind(&schema)
+        .unwrap();
     let spec = ScanSpec {
         table: "lineitem".into(),
         file,
@@ -179,11 +186,23 @@ fn bench_seq_scan(c: &mut Criterion) {
         (100..800).contains(&kept),
         "Q6 filter should keep ~2% of {ROWS} rows, kept {kept}"
     );
+    let kept = scan(Some(&q1)) / 12;
+    assert!(
+        (18_000..20_000).contains(&kept),
+        "Q1 filter should keep ~95% of {ROWS} rows, kept {kept}"
+    );
+    let kept = scan(Some(&q10)) / 12;
+    assert!(
+        (6_000..7_400).contains(&kept),
+        "Q10 filter should keep ~1/3 of {ROWS} rows, kept {kept}"
+    );
 
     let mut group = c.benchmark_group("seq_scan");
     group.sample_size(20);
     group.bench_function("unfiltered_20k", |b| b.iter(|| black_box(scan(None))));
     group.bench_function("q6_filter_20k", |b| b.iter(|| black_box(scan(Some(&q6)))));
+    group.bench_function("q1_filter_20k", |b| b.iter(|| black_box(scan(Some(&q1)))));
+    group.bench_function("q10_filter_20k", |b| b.iter(|| black_box(scan(Some(&q10)))));
     group.finish();
 }
 

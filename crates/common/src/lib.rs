@@ -31,6 +31,6 @@ pub use error::{MqError, Result};
 pub use fault::{FaultInjector, FaultKind, FaultProfile, FaultScope, FaultSite, FaultSpec};
 pub use ids::{FileId, IndexId, PageId, Rid, TableId};
 pub use rng::DetRng;
-pub use row::Row;
+pub use row::{Columns, RecordWalk, Row};
 pub use schema::{Field, Schema};
-pub use value::{DataType, Value};
+pub use value::{DataType, RawValue, Value};

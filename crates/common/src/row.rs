@@ -45,12 +45,16 @@ impl Row {
     /// panic over).
     #[inline]
     pub fn try_get(&self, idx: usize) -> Result<&Value> {
-        self.values.get(idx).ok_or_else(|| {
-            crate::error::MqError::Execution(format!(
-                "column index {idx} out of range for a {}-column row",
-                self.values.len()
-            ))
-        })
+        self.values
+            .get(idx)
+            .ok_or_else(|| out_of_range(idx, self.values.len()))
+    }
+
+    /// Build a row from borrowed columns (see [`RecordWalk`]).
+    pub fn from_raw(cols: &[RawValue<'_>]) -> Row {
+        Row {
+            values: cols.iter().map(|raw| raw.into_value()).collect(),
+        }
     }
 
     /// All values.
@@ -98,7 +102,7 @@ impl Row {
     pub fn decode(buf: &[u8]) -> Result<(Row, usize)> {
         let n = arity(buf)?;
         let mut values = Vec::with_capacity(n);
-        let used = walk(buf, n, |_, raw| values.push(raw.into_value()))?;
+        let used = walk(buf, n, |raw| values.push(raw.into_value()))?;
         Ok((Row { values }, used))
     }
 
@@ -106,30 +110,84 @@ impl Row {
     /// occupies. Fails exactly when [`Row::decode`] fails, with the same
     /// error, and allocates nothing.
     pub fn validate(buf: &[u8]) -> Result<usize> {
-        walk(buf, arity(buf)?, |_, _| {})
+        walk(buf, arity(buf)?, |_| {})
     }
+}
 
-    /// Decode only the columns `i` with `wanted[i]` set (a column past
-    /// the end of `wanted` is not wanted) into `scratch`, returning the
-    /// bytes consumed. Every other column is checked as [`Row::decode`]
-    /// would check it but not built; its slot in `scratch` holds
-    /// `Null`. `scratch` ends up with exactly the record's arity, so an
-    /// out-of-range column access on it fails as it would on the fully
-    /// decoded row. Reusing one `scratch` across records reuses its
-    /// allocation. On error `scratch` holds a partial row.
-    pub fn decode_cols(buf: &[u8], wanted: &[bool], scratch: &mut Row) -> Result<usize> {
-        let n = arity(buf)?;
-        let values = &mut scratch.values;
-        values.clear();
-        values.reserve(n);
-        walk(buf, n, |i, raw| {
-            values.push(if wanted.get(i).copied().unwrap_or(false) {
-                raw.into_value()
-            } else {
-                Value::Null
-            })
-        })
+/// The error for reading column `idx` of a `len`-column row.
+#[cold]
+fn out_of_range(idx: usize, len: usize) -> MqError {
+    MqError::Execution(format!(
+        "column index {idx} out of range for a {len}-column row"
+    ))
+}
+
+/// A row shape that expressions read columns from, borrowed: a built
+/// [`Row`], or the columns of an encoded record read in place by
+/// [`RecordWalk`]. Both give the same value for the same column and
+/// the same error past the end.
+pub trait Columns {
+    /// Column `idx`, or [`Row::try_get`]'s error when the row is
+    /// narrower.
+    fn column(&self, idx: usize) -> Result<RawValue<'_>>;
+}
+
+impl Columns for Row {
+    #[inline]
+    fn column(&self, idx: usize) -> Result<RawValue<'_>> {
+        self.try_get(idx).map(Value::raw)
     }
+}
+
+impl Columns for [RawValue<'_>] {
+    #[inline]
+    fn column(&self, idx: usize) -> Result<RawValue<'_>> {
+        self.get(idx)
+            .copied()
+            .ok_or_else(|| out_of_range(idx, self.len()))
+    }
+}
+
+/// Reads encoded records one at a time as borrowed columns, in one
+/// checked walk each, reusing its column buffer from record to record.
+/// A caller tests a record on the columns and builds its [`Row`] from
+/// the same columns ([`Row::from_raw`]) only if it keeps it.
+#[derive(Debug, Default)]
+pub struct RecordWalk {
+    /// Spare capacity only: empty between calls.
+    cols: Vec<RawValue<'static>>,
+}
+
+impl RecordWalk {
+    /// Read and check every column of the encoded row `rec`, then hand
+    /// them to `f` and return its result. Fails exactly when
+    /// [`Row::decode`] fails, with the same error, and then does not
+    /// call `f`.
+    pub fn read<'a, T>(
+        &mut self,
+        rec: &'a [u8],
+        f: impl FnOnce(&[RawValue<'a>]) -> Result<T>,
+    ) -> Result<T> {
+        let mut cols = recycle(std::mem::take(&mut self.cols));
+        let out = arity(rec)
+            .and_then(|n| {
+                cols.reserve(n);
+                walk(rec, n, |raw| cols.push(raw))
+            })
+            .and_then(|_| f(&cols));
+        self.cols = recycle(cols);
+        out
+    }
+}
+
+/// Empty `v` and retype it for borrows of another lifetime, keeping its
+/// allocation (an in-place collect of an empty vector of a same-layout
+/// type).
+fn recycle<'b>(mut v: Vec<RawValue<'_>>) -> Vec<RawValue<'b>> {
+    v.clear();
+    v.into_iter()
+        .map(|_| unreachable!("the vector is empty"))
+        .collect()
 }
 
 /// The column count from a row encoding's header.
@@ -140,15 +198,15 @@ fn arity(buf: &[u8]) -> Result<usize> {
 }
 
 /// The one walker behind [`Row::decode`], [`Row::validate`] and
-/// [`Row::decode_cols`]: reads and checks the `n` values after the
+/// [`RecordWalk::read`]: reads and checks the `n` values after the
 /// header in turn, handing each to `column`. Returns the bytes
 /// consumed.
 #[inline]
-fn walk<'a>(buf: &'a [u8], n: usize, mut column: impl FnMut(usize, RawValue<'a>)) -> Result<usize> {
+fn walk<'a>(buf: &'a [u8], n: usize, mut column: impl FnMut(RawValue<'a>)) -> Result<usize> {
     let mut off = 2;
-    for i in 0..n {
+    for _ in 0..n {
         let (raw, used) = RawValue::read(&buf[off..])?;
-        column(i, raw);
+        column(raw);
         off += used;
     }
     Ok(off)
@@ -204,6 +262,25 @@ mod tests {
         assert_eq!(c.len(), 3);
         let p = c.project(&[2, 0]);
         assert_eq!(p.values(), &[Value::Int(3), Value::Int(1)]);
+    }
+
+    #[test]
+    fn walk_reads_decoded_values_and_keeps_its_buffer() {
+        let r = sample();
+        let bytes = r.to_bytes();
+        let mut walk = RecordWalk::default();
+        let back = walk.read(&bytes, |cols| Ok(Row::from_raw(cols))).unwrap();
+        assert_eq!(back, r);
+        let cap = walk.cols.capacity();
+        assert!(cap >= r.len());
+        walk.read(&bytes, |cols| {
+            assert_eq!(cols.column(4).unwrap_err(), r.try_get(4).unwrap_err());
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(walk.cols.capacity(), cap);
+        assert!(walk.read(&bytes[..3], |_| Ok(())).is_err());
+        assert!(walk.cols.is_empty());
     }
 
     #[test]

@@ -89,15 +89,9 @@ impl Value {
     /// Numeric view of the value, used by histograms and the Zipf
     /// generator. Strings map through a stable 8-byte prefix so ordered
     /// operations over them remain monotone.
+    #[inline]
     pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Null => None,
-            Value::Bool(b) => Some(if *b { 1.0 } else { 0.0 }),
-            Value::Int(i) => Some(*i as f64),
-            Value::Float(f) => Some(*f),
-            Value::Date(d) => Some(*d as f64),
-            Value::Str(s) => Some(str_rank(s)),
-        }
+        self.raw().as_f64()
     }
 
     /// Integer view, for key columns.
@@ -123,53 +117,30 @@ impl Value {
         matches!(self, Value::Bool(true))
     }
 
-    /// SQL three-valued comparison. Returns `None` when either side is
-    /// NULL or the types are incomparable.
+    /// SQL three-valued comparison (see [`RawValue::sql_cmp`]).
     #[inline]
     pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
-        use Value::*;
-        match (self, other) {
-            (Null, _) | (_, Null) => None,
-            (Bool(a), Bool(b)) => Some(a.cmp(b)),
-            (Int(a), Int(b)) => Some(a.cmp(b)),
-            (Float(a), Float(b)) => Some(a.total_cmp(b)),
-            (Int(a), Float(b)) => Some((*a as f64).total_cmp(b)),
-            (Float(a), Int(b)) => Some(a.total_cmp(&(*b as f64))),
-            (Date(a), Date(b)) => Some(a.cmp(b)),
-            (Date(a), Int(b)) | (Int(a), Date(b)) => Some(a.cmp(b)),
-            (Str(a), Str(b)) => Some(a.as_ref().cmp(b.as_ref())),
-            _ => None,
-        }
+        self.raw().sql_cmp(&other.raw())
     }
 
     /// Arithmetic addition with SQL NULL propagation.
     pub fn add(&self, other: &Value) -> Result<Value> {
-        numeric_binop(self, other, "+", |a, b| a.checked_add(b), |a, b| a + b)
+        self.raw().add(&other.raw()).map(RawValue::into_value)
     }
 
     /// Arithmetic subtraction with SQL NULL propagation.
     pub fn sub(&self, other: &Value) -> Result<Value> {
-        numeric_binop(self, other, "-", |a, b| a.checked_sub(b), |a, b| a - b)
+        self.raw().sub(&other.raw()).map(RawValue::into_value)
     }
 
     /// Arithmetic multiplication with SQL NULL propagation.
     pub fn mul(&self, other: &Value) -> Result<Value> {
-        numeric_binop(self, other, "*", |a, b| a.checked_mul(b), |a, b| a * b)
+        self.raw().mul(&other.raw()).map(RawValue::into_value)
     }
 
-    /// Arithmetic division; integer division by zero is an error, float
-    /// division by zero yields IEEE infinities.
+    /// Arithmetic division (see [`RawValue::div`]).
     pub fn div(&self, other: &Value) -> Result<Value> {
-        use Value::*;
-        match (self, other) {
-            (Null, _) | (_, Null) => Ok(Null),
-            (Int(_), Int(0)) => Err(MqError::Execution("integer division by zero".into())),
-            (Int(a), Int(b)) => Ok(Int(a / b)),
-            (a, b) => match (a.as_f64(), b.as_f64()) {
-                (Some(x), Some(y)) => Ok(Float(x / y)),
-                _ => Err(MqError::TypeMismatch(format!("{a} / {b}"))),
-            },
-        }
+        self.raw().div(&other.raw()).map(RawValue::into_value)
     }
 
     /// Size of the encoded form in bytes; used for tuple-size statistics
@@ -238,7 +209,7 @@ impl Value {
 
     /// Borrow the value as a [`RawValue`] (no allocation).
     #[inline(always)]
-    fn raw(&self) -> RawValue<'_> {
+    pub fn raw(&self) -> RawValue<'_> {
         match self {
             Value::Null => RawValue::Null,
             Value::Bool(b) => RawValue::Bool(*b),
@@ -250,16 +221,26 @@ impl Value {
     }
 }
 
-/// One checked value read in place: strings borrow the encoding.
+/// A borrowed value: a column read in place from an encoding (strings
+/// borrow its bytes), or a [`Value`] seen through [`Value::raw`].
 /// [`Value::decode`], [`Value::skip`], [`Value::cmp_encoded`] and the
-/// row decoders all walk the encoding through [`RawValue::read`], so
-/// they accept and reject the same bytes with the same errors.
-pub(crate) enum RawValue<'a> {
+/// row walkers all read encodings through one checked reader, so they
+/// accept and reject the same bytes with the same errors. Value order,
+/// SQL comparison, arithmetic and display are defined here once and
+/// [`Value`] delegates to them, so a borrowed column and a built value
+/// behave identically.
+#[derive(Debug, Clone, Copy)]
+pub enum RawValue<'a> {
     Null,
+    /// Boolean.
     Bool(bool),
+    /// 64-bit integer.
     Int(i64),
+    /// 64-bit float.
     Float(f64),
+    /// Days since the Unix epoch.
     Date(i64),
+    /// UTF-8 string, borrowed.
     Str(&'a str),
 }
 
@@ -325,9 +306,71 @@ impl<'a> RawValue<'a> {
         }
     }
 
+    /// Numeric view (see [`Value::as_f64`]).
+    #[inline]
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            RawValue::Null => None,
+            RawValue::Bool(b) => Some(if *b { 1.0 } else { 0.0 }),
+            RawValue::Int(i) => Some(*i as f64),
+            RawValue::Float(f) => Some(*f),
+            RawValue::Date(d) => Some(*d as f64),
+            RawValue::Str(s) => Some(str_rank(s)),
+        }
+    }
+
+    /// SQL three-valued comparison. Returns `None` when either side is
+    /// NULL or the types are incomparable.
+    #[inline]
+    pub fn sql_cmp(&self, other: &RawValue<'_>) -> Option<Ordering> {
+        use RawValue::*;
+        match (self, other) {
+            (Null, _) | (_, Null) => None,
+            (Bool(a), Bool(b)) => Some(a.cmp(b)),
+            (Int(a), Int(b)) => Some(a.cmp(b)),
+            (Float(a), Float(b)) => Some(a.total_cmp(b)),
+            (Int(a), Float(b)) => Some((*a as f64).total_cmp(b)),
+            (Float(a), Int(b)) => Some(a.total_cmp(&(*b as f64))),
+            (Date(a), Date(b)) => Some(a.cmp(b)),
+            (Date(a), Int(b)) | (Int(a), Date(b)) => Some(a.cmp(b)),
+            (Str(a), Str(b)) => Some(a.cmp(b)),
+            _ => None,
+        }
+    }
+
+    /// Arithmetic addition with SQL NULL propagation.
+    pub fn add(&self, other: &RawValue<'_>) -> Result<RawValue<'static>> {
+        numeric_binop(self, other, "+", |a, b| a.checked_add(b), |a, b| a + b)
+    }
+
+    /// Arithmetic subtraction with SQL NULL propagation.
+    pub fn sub(&self, other: &RawValue<'_>) -> Result<RawValue<'static>> {
+        numeric_binop(self, other, "-", |a, b| a.checked_sub(b), |a, b| a - b)
+    }
+
+    /// Arithmetic multiplication with SQL NULL propagation.
+    pub fn mul(&self, other: &RawValue<'_>) -> Result<RawValue<'static>> {
+        numeric_binop(self, other, "*", |a, b| a.checked_mul(b), |a, b| a * b)
+    }
+
+    /// Arithmetic division; integer division by zero is an error, float
+    /// division by zero yields IEEE infinities.
+    pub fn div(&self, other: &RawValue<'_>) -> Result<RawValue<'static>> {
+        use RawValue::*;
+        match (self, other) {
+            (Null, _) | (_, Null) => Ok(Null),
+            (Int(_), Int(0)) => Err(MqError::Execution("integer division by zero".into())),
+            (Int(a), Int(b)) => Ok(Int(a / b)),
+            (a, b) => match (a.as_f64(), b.as_f64()) {
+                (Some(x), Some(y)) => Ok(Float(x / y)),
+                _ => Err(MqError::TypeMismatch(format!("{a} / {b}"))),
+            },
+        }
+    }
+
     /// Build the owned value (allocates only for strings).
     #[inline(always)]
-    pub(crate) fn into_value(self) -> Value {
+    pub fn into_value(self) -> Value {
         match self {
             RawValue::Null => Value::Null,
             RawValue::Bool(b) => Value::Bool(b),
@@ -351,13 +394,13 @@ fn str_rank(s: &str) -> f64 {
 }
 
 fn numeric_binop(
-    a: &Value,
-    b: &Value,
+    a: &RawValue<'_>,
+    b: &RawValue<'_>,
     op: &str,
     int_op: impl Fn(i64, i64) -> Option<i64>,
     float_op: impl Fn(f64, f64) -> f64,
-) -> Result<Value> {
-    use Value::*;
+) -> Result<RawValue<'static>> {
+    use RawValue::*;
     match (a, b) {
         (Null, _) | (_, Null) => Ok(Null),
         (Int(x), Int(y)) => int_op(*x, *y)
@@ -438,16 +481,22 @@ impl Hash for Value {
 
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.raw().fmt(f)
+    }
+}
+
+impl fmt::Display for RawValue<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Value::Null => write!(f, "NULL"),
-            Value::Bool(b) => write!(f, "{b}"),
-            Value::Int(i) => write!(f, "{i}"),
-            Value::Float(x) => write!(f, "{x}"),
-            Value::Date(d) => {
+            RawValue::Null => write!(f, "NULL"),
+            RawValue::Bool(b) => write!(f, "{b}"),
+            RawValue::Int(i) => write!(f, "{i}"),
+            RawValue::Float(x) => write!(f, "{x}"),
+            RawValue::Date(d) => {
                 let (y, m, day) = days_to_civil(*d);
                 write!(f, "{y:04}-{m:02}-{day:02}")
             }
-            Value::Str(s) => write!(f, "'{s}'"),
+            RawValue::Str(s) => write!(f, "'{s}'"),
         }
     }
 }

@@ -3,7 +3,7 @@
 use std::cmp::Ordering;
 
 use mq_common::value::{civil_to_days, days_to_civil};
-use mq_common::{Row, Value};
+use mq_common::{Columns, RecordWalk, Row, Value};
 use proptest::prelude::*;
 
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -32,27 +32,23 @@ fn arb_wide_row() -> impl Strategy<Value = Row> {
     prop::collection::vec(value, 0..8).prop_map(Row::new)
 }
 
-/// The three row decoders must agree on `bytes`: `validate` and
-/// `decode_cols` succeed with `decode`'s length or fail with its exact
-/// error, and `decode_cols` yields `decode`'s value in every wanted
-/// column.
-fn decoders_agree(bytes: &[u8], wanted: &[bool]) -> Result<(), TestCaseError> {
+/// The row decoders must agree on `bytes`: `validate` succeeds with
+/// `decode`'s length or fails with its exact error, and the borrowed
+/// walk (`RecordWalk::read`) fails exactly when `decode` fails, with the
+/// same error, and otherwise yields `decode`'s value in every column
+/// and `try_get`'s error past the last one.
+fn decoders_agree(bytes: &[u8]) -> Result<(), TestCaseError> {
     let full = Row::decode(bytes);
-    let mut scratch = Row::default();
-    let partial = Row::decode_cols(bytes, wanted, &mut scratch);
     let used = full.as_ref().map(|(_, n)| *n).map_err(Clone::clone);
     prop_assert_eq!(&Row::validate(bytes), &used);
-    prop_assert_eq!(&partial, &used);
-    if let Ok((row, _)) = &full {
-        prop_assert_eq!(scratch.len(), row.len());
-        for (i, v) in row.values().iter().enumerate() {
-            if wanted.get(i).copied().unwrap_or(false) {
-                prop_assert_eq!(scratch.get(i), v);
-            } else {
-                prop_assert!(scratch.get(i).is_null());
-            }
-        }
-    }
+    let walked = RecordWalk::default().read(bytes, |cols| {
+        Ok((Row::from_raw(cols), cols.column(cols.len()).unwrap_err()))
+    });
+    let want = full.map(|(row, _)| {
+        let past = row.try_get(row.len()).unwrap_err();
+        (row, past)
+    });
+    prop_assert_eq!(walked, want);
     Ok(())
 }
 
@@ -115,35 +111,28 @@ proptest! {
         }
     }
 
-    /// On valid encodings, `decode_cols` yields `decode`'s values in
-    /// every wanted column and `validate` its length.
+    /// On valid encodings, the borrowed walk yields `decode`'s values
+    /// in every column and `validate` its length.
     #[test]
-    fn row_decoders_agree_on_valid_rows(
-        r in arb_wide_row(),
-        wanted in prop::collection::vec(any::<bool>(), 0..10),
-    ) {
+    fn row_decoders_agree_on_valid_rows(r in arb_wide_row()) {
         let bytes = r.to_bytes();
         prop_assert_eq!(Row::validate(&bytes), Ok(bytes.len()));
-        decoders_agree(&bytes, &wanted)?;
+        decoders_agree(&bytes)?;
     }
 
     /// Under every truncation and every single-byte flip of a valid
-    /// encoding, `validate` and `decode_cols` fail exactly when
+    /// encoding, `validate` and the borrowed walk fail exactly when
     /// `decode` does, with the same error.
     #[test]
-    fn row_decoders_agree_on_damaged_rows(
-        r in arb_wide_row(),
-        wanted in prop::collection::vec(any::<bool>(), 0..10),
-        flip in 1u32..256,
-    ) {
+    fn row_decoders_agree_on_damaged_rows(r in arb_wide_row(), flip in 1u32..256) {
         let bytes = r.to_bytes();
         for cut in 0..bytes.len() {
-            decoders_agree(&bytes[..cut], &wanted)?;
+            decoders_agree(&bytes[..cut])?;
         }
         let mut damaged = bytes.clone();
         for i in 0..damaged.len() {
             damaged[i] ^= flip as u8;
-            decoders_agree(&damaged, &wanted)?;
+            decoders_agree(&damaged)?;
             damaged[i] = bytes[i];
         }
     }
@@ -199,7 +188,7 @@ proptest! {
         let _ = Value::Int(0).cmp_encoded(&bytes);
         let _ = Row::decode(&bytes);
         let _ = Row::validate(&bytes);
-        let _ = Row::decode_cols(&bytes, &[true, false, true], &mut Row::default());
+        let _ = RecordWalk::default().read(&bytes, |cols| Ok(Row::from_raw(cols)));
     }
 
     /// The total order is consistent: sorting twice gives the same

@@ -15,7 +15,7 @@
 //! never loses completed build work (§2.4, Figure 5: "the filter and
 //! the build phase of the hash-join are left as they are").
 
-use mq_common::{FileId, MqError, Result, Row, Value};
+use mq_common::{Columns, FileId, MqError, RawValue, RecordWalk, Result, Row, Value};
 use mq_memory::HASH_OVERHEAD;
 use mq_plan::NodeId;
 
@@ -35,12 +35,10 @@ pub struct HashJoinExec {
     grant_fallback: usize,
     phase: Phase,
     pending: Vec<Row>,
-    /// `probe_keys` as a column mask, for decoding spilled probe
-    /// records key-first.
-    probe_key_cols: Vec<bool>,
-    /// Reused key-only decode of the current spilled probe record.
-    probe_scratch: Row,
-    /// Reused buffer for composite join keys (see [`join_key`]).
+    /// Walks spilled probe records into borrowed columns.
+    walk: RecordWalk,
+    /// Reused buffer for composite join keys (see [`join_key`]) and
+    /// for the keys of spilled probe records (see [`walked_key`]).
     key_scratch: Vec<Value>,
 }
 
@@ -76,10 +74,6 @@ impl HashJoinExec {
         probe_keys: Vec<usize>,
         grant_fallback: usize,
     ) -> HashJoinExec {
-        let mut probe_key_cols = vec![false; probe_keys.iter().max().map_or(0, |&k| k + 1)];
-        for &k in &probe_keys {
-            probe_key_cols[k] = true;
-        }
         HashJoinExec {
             node,
             build,
@@ -89,8 +83,7 @@ impl HashJoinExec {
             grant_fallback,
             phase: Phase::Unopened,
             pending: Vec::new(),
-            probe_key_cols,
-            probe_scratch: Row::default(),
+            walk: RecordWalk::default(),
             key_scratch: Vec::new(),
         }
     }
@@ -289,25 +282,27 @@ impl HashJoinExec {
                 continue;
             }
 
-            // Scan the probe partition against this chunk. Only the key
-            // columns are decoded up front; a probe row is built only
-            // when it has a match.
+            // Scan the probe partition against this chunk. Each record
+            // is walked once: the key is read from the walk, and a
+            // probe row is built from it only when it has a match.
             let mut probe_scan = ctx.storage.scan_file(pp)?;
             while let Some(item) = probe_scan.next_record() {
                 let (_, rec) = item?;
-                Row::decode_cols(rec, &self.probe_key_cols, &mut self.probe_scratch)?;
-                ctx.clock.add_cpu(2);
-                if let Some(key) =
-                    join_key(&self.probe_scratch, &self.probe_keys, &mut self.key_scratch)
-                {
+                self.walk.read(rec, |cols| {
+                    ctx.clock.add_cpu(2);
+                    let Some(key) = walked_key(cols, &self.probe_keys, &mut self.key_scratch)?
+                    else {
+                        return Ok(());
+                    };
                     if let Some(matches) = table.get(key) {
-                        let row = Row::decode(rec)?.0;
+                        let row = Row::from_raw(cols);
                         for b in matches {
                             ctx.clock.add_cpu(1);
                             self.pending.push(b.concat(&row));
                         }
                     }
-                }
+                    Ok(())
+                })?;
             }
 
             // Advance chunk/partition cursor.
@@ -372,6 +367,24 @@ fn join_key<'a>(row: &'a Row, keys: &[usize], scratch: &'a mut Vec<Value>) -> Op
         scratch.push(v.clone());
     }
     Some(scratch)
+}
+
+/// The join key of a walked record, built into `scratch`, or `None`
+/// when a key column is NULL. A key column past the record's end is
+/// [`Row::try_get`]'s error.
+fn walked_key<'s>(
+    cols: &[RawValue<'_>],
+    keys: &[usize],
+    scratch: &'s mut Vec<Value>,
+) -> Result<Option<&'s [Value]>> {
+    scratch.clear();
+    for &k in keys {
+        match cols.column(k)? {
+            RawValue::Null => return Ok(None),
+            v => scratch.push(v.into_value()),
+        }
+    }
+    Ok(Some(scratch))
 }
 
 impl Operator for HashJoinExec {

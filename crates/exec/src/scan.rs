@@ -1,6 +1,6 @@
 //! Scan operators: sequential and B+-tree index scans.
 
-use mq_common::{IndexId, MqError, Result, Rid, Row, Value};
+use mq_common::{IndexId, MqError, RecordWalk, Result, Rid, Row, Value};
 use mq_expr::Expr;
 use mq_plan::ScanSpec;
 use mq_storage::RowScan;
@@ -10,10 +10,11 @@ use crate::Operator;
 
 /// Sequential heap-file scan with an optional in-stream filter.
 ///
-/// With a filter, each record is first decoded only in the columns the
-/// filter reads, into a reused scratch row; the full row is decoded
-/// only for records that pass. Every record is still checked in full,
-/// and charged `1 + filter_ops` CPU ops whether it passes or not.
+/// With a filter, each record is walked once into borrowed columns
+/// ([`RecordWalk`]); the filter reads those, and a passing record's row
+/// is built from the same walk. Every record is still checked in full,
+/// and charged `1 + filter_ops` CPU ops whether it passes or not. The
+/// charges of one `next` call are booked together, before it returns.
 pub struct SeqScanExec {
     spec: ScanSpec,
     filter: Option<Expr>,
@@ -22,28 +23,20 @@ pub struct SeqScanExec {
     page_range: Option<(usize, usize)>,
     iter: Option<RowScan>,
     filter_ops: u64,
-    /// Columns the filter reads (see [`Expr::bound_column_mask`]).
-    filter_cols: Vec<bool>,
-    /// Reused partial decode of the current record for the filter.
-    scratch: Row,
+    walk: RecordWalk,
 }
 
 impl SeqScanExec {
     /// Create a sequential scan.
     pub fn new(spec: ScanSpec, filter: Option<Expr>) -> SeqScanExec {
         let filter_ops = filter.as_ref().map(|f| f.eval_cost_ops()).unwrap_or(0);
-        let filter_cols = filter
-            .as_ref()
-            .map(|f| f.bound_column_mask())
-            .unwrap_or_default();
         SeqScanExec {
             spec,
             filter,
             page_range: None,
             iter: None,
             filter_ops,
-            filter_cols,
-            scratch: Row::default(),
+            walk: RecordWalk::default(),
         }
     }
 
@@ -58,6 +51,31 @@ impl SeqScanExec {
         s.page_range = Some((page_lo, page_hi));
         s
     }
+
+    /// The next row that passes the filter, adding each record's CPU
+    /// ops to `ops`.
+    fn advance(&mut self, ops: &mut u64) -> Result<Option<Row>> {
+        let iter = self
+            .iter
+            .as_mut()
+            .ok_or_else(|| MqError::Execution("scan not opened".into()))?;
+        while let Some(item) = iter.next_record() {
+            let (_, rec) = item?;
+            let Some(f) = &self.filter else {
+                let row = Row::decode(rec)?.0;
+                *ops += 1;
+                return Ok(Some(row));
+            };
+            let passed = self.walk.read(rec, |cols| {
+                *ops += 1 + self.filter_ops;
+                Ok(f.eval_predicate(cols)?.then(|| Row::from_raw(cols)))
+            })?;
+            if passed.is_some() {
+                return Ok(passed);
+            }
+        }
+        Ok(None)
+    }
 }
 
 impl Operator for SeqScanExec {
@@ -70,28 +88,12 @@ impl Operator for SeqScanExec {
     }
 
     fn next(&mut self, ctx: &ExecContext) -> Result<Option<Row>> {
-        let iter = self
-            .iter
-            .as_mut()
-            .ok_or_else(|| MqError::Execution("scan not opened".into()))?;
-        while let Some(item) = iter.next_record() {
-            let (_, rec) = item?;
-            match &self.filter {
-                Some(f) => {
-                    Row::decode_cols(rec, &self.filter_cols, &mut self.scratch)?;
-                    ctx.clock.add_cpu(1 + self.filter_ops);
-                    if f.eval_predicate(&self.scratch)? {
-                        return Ok(Some(Row::decode(rec)?.0));
-                    }
-                }
-                None => {
-                    let row = Row::decode(rec)?.0;
-                    ctx.clock.add_cpu(1);
-                    return Ok(Some(row));
-                }
-            }
-        }
-        Ok(None)
+        // Nothing the scan calls reads the clock, so one booking per
+        // call leaves every reader outside it the same totals.
+        let mut ops = 0;
+        let out = self.advance(&mut ops);
+        ctx.clock.add_cpu(ops);
+        out
     }
 
     fn close(&mut self, _ctx: &ExecContext) -> Result<()> {

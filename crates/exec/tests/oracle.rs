@@ -387,3 +387,155 @@ proptest! {
         prop_assert_eq!(got.len() as u64, (rows.len() as u64).min(n));
     }
 }
+
+/// Rows `(i Int, x, s)` for the scan oracle: `x` mixes `Int` and
+/// `Float` values that tie (`Int(1)` and `Float(1.0)`) with NULL, and
+/// `s` is a short string or NULL.
+fn arb_scan_rows() -> impl Strategy<Value = Vec<Row>> {
+    let x = (0usize..3, -2i64..3).prop_map(|(kind, n)| match kind {
+        0 => Value::Null,
+        1 => Value::Int(n),
+        _ => Value::Float(n as f64 / 2.0),
+    });
+    let s = (0usize..4).prop_map(|i| match i {
+        0 => Value::Null,
+        1 => Value::str(""),
+        2 => Value::str("ab"),
+        _ => Value::str("b"),
+    });
+    prop::collection::vec((x, s), 1..300).prop_map(|rows| {
+        rows.into_iter()
+            .enumerate()
+            .map(|(i, (x, s))| Row::new(vec![Value::Int(i as i64), x, s]))
+            .collect()
+    })
+}
+
+/// A scan filter over [`arb_scan_rows`]: comparisons of a column (or
+/// of the column one past the row's end) with a literal of any type
+/// or NULL, under AND, OR and NOT; sometimes no filter at all.
+fn arb_scan_filter() -> impl Strategy<Value = Option<mq_expr::Expr>> {
+    use mq_expr::{cmp, lit, CmpOp, Expr};
+    let column = (0usize..4).prop_map(|index| Expr::BoundColumn {
+        index,
+        name: format!("c{index}").into(),
+    });
+    let literal = prop_oneof![
+        (-2i64..3).prop_map(lit),
+        (-4i64..6).prop_map(|h| lit(h as f64 / 2.0)),
+        "[ab]{0,2}".prop_map(lit),
+        Just(Expr::Literal(Value::Null)),
+    ];
+    let op = prop_oneof![
+        Just(CmpOp::Eq),
+        Just(CmpOp::Ne),
+        Just(CmpOp::Lt),
+        Just(CmpOp::Ge),
+    ];
+    let leaf = (op, column, literal, any::<bool>()).prop_map(|(op, c, l, flip)| {
+        if flip {
+            cmp(op, l, c)
+        } else {
+            cmp(op, c, l)
+        }
+    });
+    let pred = leaf.prop_recursive(2, 8, 3, |inner| {
+        prop_oneof![
+            prop::collection::vec(inner.clone(), 1..3).prop_map(Expr::And),
+            prop::collection::vec(inner.clone(), 1..3).prop_map(Expr::Or),
+            inner.prop_map(|e| Expr::Not(Box::new(e))),
+        ]
+    });
+    (0usize..7, pred).prop_map(|(pick, p)| (pick > 0).then_some(p))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A filtered `SeqScan` over a heap with one damaged record returns
+    /// the rows of `filter(Row::decode(rec))` in file order, then the
+    /// error the first failing decode or filter gives, and books
+    /// `1 + filter_ops` CPU ops for every record decoded before it
+    /// (`1` without a filter) and nothing else.
+    #[test]
+    fn filtered_scan_oracle(
+        rows in arb_scan_rows(),
+        filter in arb_scan_filter(),
+        damaged in any::<u16>(),
+        bad_tag in any::<bool>(),
+    ) {
+        use mq_exec::scan::SeqScanExec;
+        use mq_exec::Operator;
+
+        let fx = Fx::new();
+        let file = fx.storage.create_file();
+        let rids: Vec<_> = rows
+            .iter()
+            .map(|r| fx.storage.append_row(file, r).unwrap())
+            .collect();
+        // Damage one record in place: an unknown tag on its first
+        // column, or a header claiming one column more than it holds.
+        let rid = rids[damaged as usize % rids.len()];
+        fx.storage
+            .pool()
+            .with_page_mut(rid.page, |data| {
+                let at = mq_storage::page::locate(data, rid.slot).unwrap().start;
+                if bad_tag {
+                    data[at + 2] = 9;
+                } else {
+                    data[at] += 1;
+                }
+            })
+            .unwrap();
+
+        // The model: decode every record, then filter the built row.
+        let filter_ops = filter.as_ref().map_or(0, |f| f.eval_cost_ops());
+        let mut want_rows = Vec::new();
+        let mut want_ops = 0;
+        let mut want_end = Ok(());
+        let mut records = fx.storage.scan_file(file).unwrap();
+        while let Some(item) = records.next_record() {
+            let (_, rec) = item.unwrap();
+            let row = match Row::decode(rec) {
+                Ok((row, _)) => row,
+                Err(e) => {
+                    want_end = Err(e);
+                    break;
+                }
+            };
+            want_ops += 1 + filter_ops;
+            match filter.as_ref().map_or(Ok(true), |f| f.eval_predicate(&row)) {
+                Ok(true) => want_rows.push(row),
+                Ok(false) => {}
+                Err(e) => {
+                    want_end = Err(e);
+                    break;
+                }
+            }
+        }
+        prop_assert!(want_end.is_err(), "the damaged record must fail");
+
+        let spec = ScanSpec {
+            table: "t".into(),
+            file,
+            pages: fx.storage.file_pages(file).unwrap() as u64,
+            rows: rows.len() as u64,
+        };
+        let ctx = fx.ctx();
+        let before = ctx.clock.snapshot();
+        let mut scan = SeqScanExec::new(spec, filter);
+        scan.open(&ctx).unwrap();
+        let mut got_rows = Vec::new();
+        let got_end = loop {
+            match scan.next(&ctx) {
+                Ok(Some(row)) => got_rows.push(row),
+                Ok(None) => break Ok(()),
+                Err(e) => break Err(e),
+            }
+        };
+        let cost = ctx.clock.snapshot().since(&before);
+        prop_assert_eq!(got_rows, want_rows);
+        prop_assert_eq!(got_end, want_end);
+        prop_assert_eq!(cost, mq_common::CostSnapshot { cpu_ops: want_ops, ..Default::default() });
+    }
+}

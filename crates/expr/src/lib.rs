@@ -17,7 +17,7 @@ use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
-use mq_common::{MqError, Result, Row, Schema, Value};
+use mq_common::{Columns, MqError, RawValue, Result, Row, Schema, Value};
 
 pub use selectivity::{
     estimate_selectivity, Basis, NoStats, SelEstimate, StatsView, DEFAULT_EQ_SELECTIVITY,
@@ -136,7 +136,7 @@ pub enum Udf {
 
 impl Udf {
     /// Evaluate against a value; NULL input yields false.
-    pub fn apply(&self, v: &Value) -> bool {
+    pub fn apply(&self, v: RawValue<'_>) -> bool {
         match self {
             Udf::HashFraction {
                 keep_fraction,
@@ -326,16 +326,38 @@ impl Expr {
         match self {
             Expr::BoundColumn { index, .. } => Ok(Cow::Borrowed(row.try_get(*index)?)),
             Expr::Literal(v) => Ok(Cow::Borrowed(v)),
-            _ => self.eval_computed(row).map(Cow::Owned),
+            _ => Ok(Cow::Owned(self.computed(row)?.into_value())),
         }
     }
 
-    /// [`Expr::eval`] of an expression that computes its value.
-    fn eval_computed(&self, row: &Row) -> Result<Value> {
+    /// Evaluate as a predicate: true only when the result is TRUE
+    /// (SQL semantics — NULL filters out). `row` is a built [`Row`] or
+    /// the borrowed columns of an encoded record; both give the same
+    /// answer and the same error.
+    #[inline]
+    pub fn eval_predicate<R: Columns + ?Sized>(&self, row: &R) -> Result<bool> {
+        Ok(self.truth(row)? == Some(true))
+    }
+
+    /// An operand as predicates read it: a column or literal borrowed
+    /// from `row` or the expression, or a computed value.
+    #[inline]
+    fn operand<'a, R: Columns + ?Sized>(&'a self, row: &'a R) -> Result<RawValue<'a>> {
+        match self {
+            Expr::BoundColumn { index, .. } => row.column(*index),
+            Expr::Literal(v) => Ok(v.raw()),
+            _ => self.computed(row),
+        }
+    }
+
+    /// The value of an expression that computes it: arithmetic, a
+    /// comparison or a UDF result. None of them builds a string, so the
+    /// value borrows nothing and needs no drop.
+    fn computed<R: Columns + ?Sized>(&self, row: &R) -> Result<RawValue<'static>> {
         match self {
             Expr::Arith { op, left, right } => {
-                let l = left.eval(row)?;
-                let r = right.eval(row)?;
+                let l = left.operand(row)?;
+                let r = right.operand(row)?;
                 match op {
                     ArithOp::Add => l.add(&r),
                     ArithOp::Sub => l.sub(&r),
@@ -344,8 +366,8 @@ impl Expr {
                 }
             }
             _ => Ok(match self.truth(row)? {
-                Some(b) => Value::Bool(b),
-                None => Value::Null,
+                Some(b) => RawValue::Bool(b),
+                None => RawValue::Null,
             }),
         }
     }
@@ -354,14 +376,14 @@ impl Expr {
     /// (UNKNOWN). A value that is not a boolean is UNKNOWN too.
     /// Connectives short-circuit left to right, so errors arrive in
     /// operand order.
-    fn truth(&self, row: &Row) -> Result<Option<bool>> {
+    fn truth<R: Columns + ?Sized>(&self, row: &R) -> Result<Option<bool>> {
         match self {
             Expr::Column(name) => Err(MqError::Internal(format!(
                 "evaluating unbound column '{name}' (call bind first)"
             ))),
             Expr::Cmp { op, left, right } => {
-                let l = left.eval(row)?;
-                let r = right.eval(row)?;
+                let l = left.operand(row)?;
+                let r = right.operand(row)?;
                 Ok(l.sql_cmp(&r).map(|ord| op.matches(ord)))
             }
             Expr::And(es) => {
@@ -387,23 +409,14 @@ impl Expr {
                 Ok((!saw_null).then_some(false))
             }
             Expr::Not(e) => Ok(e.truth(row)?.map(|b| !b)),
-            Expr::UdfPred { arg, udf, .. } => {
-                let v = arg.eval(row)?;
-                Ok(Some(udf.apply(&v)))
-            }
+            Expr::UdfPred { arg, udf, .. } => Ok(Some(udf.apply(arg.operand(row)?))),
             Expr::BoundColumn { .. } | Expr::Literal(_) | Expr::Arith { .. } => {
-                Ok(match *self.eval(row)? {
-                    Value::Bool(b) => Some(b),
+                Ok(match self.operand(row)? {
+                    RawValue::Bool(b) => Some(b),
                     _ => None,
                 })
             }
         }
-    }
-
-    /// Evaluate as a predicate: true only when the result is TRUE
-    /// (SQL semantics — NULL filters out).
-    pub fn eval_predicate(&self, row: &Row) -> Result<bool> {
-        Ok(self.truth(row)? == Some(true))
     }
 
     /// Reverse [`Expr::bind`]: turn bound column positions back into
@@ -443,22 +456,6 @@ impl Expr {
             _ => {}
         });
         out
-    }
-
-    /// Mask of the row positions a bound expression reads: entry `i`
-    /// is set when a [`Expr::BoundColumn`] with index `i` occurs.
-    /// Unbound columns are not counted.
-    pub fn bound_column_mask(&self) -> Vec<bool> {
-        let mut mask = Vec::new();
-        self.walk(&mut |e| {
-            if let Expr::BoundColumn { index, .. } = e {
-                if mask.len() <= *index {
-                    mask.resize(index + 1, false);
-                }
-                mask[*index] = true;
-            }
-        });
-        mask
     }
 
     /// Split a conjunction into its conjuncts (a non-AND expression is
@@ -634,7 +631,9 @@ mod tests {
             keep_fraction: 0.25,
             salt: 7,
         };
-        let kept = (0..10_000).filter(|&i| udf.apply(&Value::Int(i))).count();
+        let kept = (0..10_000)
+            .filter(|&i| udf.apply(Value::Int(i).raw()))
+            .count();
         let frac = kept as f64 / 10_000.0;
         assert!((frac - 0.25).abs() < 0.03, "frac {frac}");
         assert!((udf.true_selectivity() - 0.25).abs() < 1e-12);
@@ -646,10 +645,12 @@ mod tests {
             freq: 0.37,
             threshold: 0.0,
         };
-        let kept = (0..10_000).filter(|&i| udf.apply(&Value::Int(i))).count();
+        let kept = (0..10_000)
+            .filter(|&i| udf.apply(Value::Int(i).raw()))
+            .count();
         let frac = kept as f64 / 10_000.0;
         assert!((frac - udf.true_selectivity()).abs() < 0.05, "frac {frac}");
-        assert!(!udf.apply(&Value::Null));
+        assert!(!udf.apply(RawValue::Null));
     }
 
     #[test]

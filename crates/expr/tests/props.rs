@@ -2,7 +2,7 @@
 
 use std::borrow::Cow;
 
-use mq_common::{DataType, Field, Result, Row, Schema, Value};
+use mq_common::{DataType, Field, RecordWalk, Result, Row, Schema, Value};
 use mq_expr::{and, cmp, estimate_selectivity, lit, ArithOp, CmpOp, Expr, NoStats, Udf};
 use proptest::prelude::*;
 
@@ -195,7 +195,7 @@ fn reference(e: &Expr, row: &Row) -> Result<Value> {
                 ArithOp::Div => l.div(&r)?,
             }
         }
-        Expr::UdfPred { arg, udf, .. } => Value::Bool(udf.apply(&reference(arg, row)?)),
+        Expr::UdfPred { arg, udf, .. } => Value::Bool(udf.apply(reference(arg, row)?.raw())),
     })
 }
 
@@ -205,12 +205,17 @@ proptest! {
     /// `eval` and `eval_predicate` agree with the reference evaluator:
     /// the same value, or the same error from the same operand, over
     /// NULLs, mixed Int/Float/Date, arithmetic, a UDF and an
-    /// out-of-range column.
+    /// out-of-range column. `eval_predicate` gives the same answer on
+    /// both row shapes: the built row, and the row's encoding walked
+    /// into borrowed columns.
     #[test]
     fn borrowed_eval_matches_reference(p in arb_mixed_pred(), row in arb_mixed_row()) {
         let want = reference(&p, &row);
         prop_assert_eq!(p.eval(&row).map(Cow::into_owned), want.clone());
-        prop_assert_eq!(p.eval_predicate(&row), want.map(|v| v.is_true()));
+        let want = want.map(|v| v.is_true());
+        prop_assert_eq!(p.eval_predicate(&row), want.clone());
+        let walked = RecordWalk::default().read(&row.to_bytes(), |cols| p.eval_predicate(cols));
+        prop_assert_eq!(walked, want);
     }
 
     /// Bound predicates always evaluate without panicking, to a Bool or

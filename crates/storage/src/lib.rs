@@ -28,6 +28,7 @@ pub mod page;
 pub mod persist;
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -335,9 +336,9 @@ impl RowScan {
     /// [`Row::decode`]), or `None` at the end of the file. The bytes
     /// are not checked here. An error reading a page ends that page.
     pub fn next_record(&mut self) -> Option<Result<(Rid, &[u8])>> {
-        let slot = loop {
-            if let Some(slot) = self.next_live_slot() {
-                break slot;
+        let (slot, rec) = loop {
+            if let Some(found) = self.next_live_slot() {
+                break found;
             }
             let pid = *self.pages.get(self.page_idx)?;
             self.page_idx += 1;
@@ -354,20 +355,20 @@ impl RowScan {
             self.pid = pid;
             self.slot = 0;
         };
-        let rec = page::get(&self.page, slot).expect("next_live_slot found a live record");
-        Some(Ok((Rid::new(self.pid, slot), rec)))
+        Some(Ok((Rid::new(self.pid, slot), &self.page[rec])))
     }
 
-    /// Advance past the current page's next live slot and return it.
-    fn next_live_slot(&mut self) -> Option<u16> {
+    /// Advance past the current page's next live slot and return it
+    /// with its record's byte range in the page.
+    fn next_live_slot(&mut self) -> Option<(u16, Range<usize>)> {
         if self.page.is_empty() {
             return None;
         }
         while self.slot < page::slot_count(&self.page) {
             let slot = self.slot;
             self.slot += 1;
-            if page::get(&self.page, slot).is_some() {
-                return Some(slot);
+            if let Some(rec) = page::locate(&self.page, slot) {
+                return Some((slot, rec));
             }
         }
         None

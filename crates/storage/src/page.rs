@@ -11,6 +11,8 @@
 //! length marks a dead slot. These are free functions over `&[u8]` /
 //! `&mut [u8]` so the buffer pool can apply them to frames in place.
 
+use std::ops::Range;
+
 const HEADER: usize = 4;
 const SLOT: usize = 4;
 
@@ -83,6 +85,12 @@ pub fn insert(data: &mut [u8], record: &[u8]) -> Option<u16> {
 
 /// Read the record in `slot`, or `None` for out-of-range/dead slots.
 pub fn get(data: &[u8], slot: u16) -> Option<&[u8]> {
+    locate(data, slot).map(|r| &data[r])
+}
+
+/// The byte range of the record in `slot` (what [`get`] returns), or
+/// `None` for out-of-range/dead slots.
+pub fn locate(data: &[u8], slot: u16) -> Option<Range<usize>> {
     if slot >= nslots(data) {
         return None;
     }
@@ -90,7 +98,8 @@ pub fn get(data: &[u8], slot: u16) -> Option<&[u8]> {
     if len == 0 {
         return None;
     }
-    data.get(off as usize..off as usize + len as usize)
+    let range = off as usize..off as usize + len as usize;
+    (range.end <= data.len()).then_some(range)
 }
 
 #[cfg(test)]
