@@ -24,8 +24,8 @@
 //! * `mq_expr`: `UDF_SELECTIVITY`, `DEFAULT_EQ_SELECTIVITY` and
 //!   `DEFAULT_RANGE_SELECTIVITY`;
 //! * `mq_reopt::engine`: `TRANSIENT_RETRY_LIMIT`,
-//!   `TRANSIENT_RETRY_BACKOFF_MS`, `PLAN_CACHE_STALENESS` and
-//!   `HIST_REFRESH_ERROR_FACTOR`;
+//!   `TRANSIENT_RETRY_BACKOFF_MS`, `PLAN_CACHE_STALENESS`,
+//!   `HIST_REFRESH_ERROR_FACTOR` and `HIST_REFRESH_HITS`;
 //! * `mq_runtime`: `RECOVERY_ATTEMPT_LIMIT` and `RECOVERY_BACKOFF_MS`;
 //! * `mq_par`: `PAR_BUCKETS` and `PAR_BROADCAST_ROWS`.
 
@@ -101,10 +101,6 @@ pub struct EngineConfig {
     pub plan_cache_enabled: bool,
     /// Maximum number of plan-cache entries (LRU-evicted beyond this).
     pub plan_cache_entries: usize,
-    /// Number of large errors (see `mq_reopt::engine::HIST_REFRESH_ERROR_FACTOR`)
-    /// attributable to one base-table column before its histogram is
-    /// incrementally rebuilt from live data. 0 disables the refresh.
-    pub hist_refresh_hits: u32,
 }
 
 impl Default for EngineConfig {
@@ -128,7 +124,6 @@ impl Default for EngineConfig {
             cache_budget_bytes: 4 * 1024 * 1024,
             plan_cache_enabled: false,
             plan_cache_entries: 64,
-            hist_refresh_hits: 3,
         }
     }
 }

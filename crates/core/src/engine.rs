@@ -22,9 +22,7 @@ use mq_common::{
 use mq_exec::{materialize, run_to_vec, EventCounts, EventLog, ExecContext, OpActuals};
 use mq_memory::MemoryManager;
 use mq_obs::{ObsEvent, SegmentOutcome};
-use mq_optimizer::{
-    apply_feedback, recost, CardFeedback, GraphFeedbackHit, OptCalibration, Optimized, Optimizer,
-};
+use mq_optimizer::{recost, CardFeedback, FeedbackHit, OptCalibration, Optimized, Optimizer};
 use mq_par::{parallelize, run_partitioned, ParSpec};
 use mq_plan::{base_tables, subplan_fingerprint, LogicalPlan, NodeId, PhysOp, PhysPlan, ScanSpec};
 use mq_plancache::{normalize, CachedPlan, Freshness, NormalizedQuery, PlanCache, PlanCacheStats};
@@ -53,6 +51,10 @@ pub const PLAN_CACHE_STALENESS: u64 = 5;
 /// whose `max(obs/est, est/obs)` error reaches this factor counts as a
 /// large error for its base-table column.
 pub const HIST_REFRESH_ERROR_FACTOR: f64 = 4.0;
+/// Adaptive histogram refresh trigger: the number of large errors
+/// ([`HIST_REFRESH_ERROR_FACTOR`]) attributable to one base-table
+/// column before its histogram is incrementally rebuilt from live data.
+pub const HIST_REFRESH_HITS: u32 = 3;
 
 /// Everything a finished query reports.
 #[derive(Debug, Clone)]
@@ -536,7 +538,8 @@ pub struct Engine {
     /// gated on [`EngineConfig::cache_enabled`]).
     cache: SubPlanCache,
     /// Cross-query observed-cardinality store, consulted by the
-    /// optimizer post-pass before trusting catalog estimates.
+    /// optimizer (through [`EngineFeedback`]) before trusting catalog
+    /// estimates.
     feedback: FeedbackStore,
     /// Normalized-SQL plan cache: optimized plan templates keyed by
     /// query family (probing is gated on
@@ -921,7 +924,7 @@ impl Engine {
     }
 
     /// The ordered plan passes of one attempt: plan-cache hit or
-    /// optimization (with the feedback post-pass and template entry),
+    /// optimization (with its feedback events and template entry),
     /// materialization-cache splice, collector insertion,
     /// parallelization, memory allocation and recosting.
     fn plan_attempt(
@@ -941,37 +944,30 @@ impl Engine {
             action => {
                 let opt = self.optimize(logical)?;
                 q.env.clock.add_opt_work(opt.work_units);
-                let mut plan = opt.plan;
-                if self.cfg.cache_enabled {
-                    for h in &opt.feedback_hits {
-                        self.note_feedback_applied(
-                            &q.ctx.events,
-                            Some(&h.table),
-                            h.fingerprint,
-                            h.estimated_rows,
-                            h.observed_rows,
-                        );
-                    }
-                    // Repeated large errors against one base-table
-                    // column mean the histogram itself is wrong —
-                    // rebuild just that column instead of patching
-                    // around it per fingerprint forever.
-                    self.maybe_refresh_histograms(&opt.feedback_hits, &q.ctx.events);
-                    // Post-pass for sub-trees the graph override
-                    // cannot reach (joins observed by collectors),
-                    // before collectors, which would otherwise
-                    // decorate sub-trees a later splice removes.
-                    self.consult_feedback(&mut plan, &q.ctx.events);
+                for h in &opt.feedback_hits {
+                    self.note_feedback_applied(&q.ctx.events, h);
                 }
-                // Capture the template *after* the feedback post-pass
-                // (so the cached estimates start from truth) but
-                // *before* the materialization-cache splice and
-                // collector insertion, which decorate the plan with
-                // query-local state.
+                // Repeated large errors against one base-table column
+                // mean the histogram itself is wrong — rebuild just
+                // that column instead of patching around it per
+                // fingerprint forever.
+                self.maybe_refresh_histograms(&opt.feedback_hits, &q.ctx.events);
+                // Capture the template as the optimizer left it (its
+                // estimates already corrected by feedback) but *before*
+                // the materialization-cache splice and collector
+                // insertion, which decorate the plan with query-local
+                // state.
                 if let Some(PlanCacheAction::Enter { norm, sql, stale }) = action {
-                    self.enter_plan_cache(&plan, &norm, &sql, stale, opt.work_units, &q.ctx.events);
+                    self.enter_plan_cache(
+                        &opt.plan,
+                        &norm,
+                        &sql,
+                        stale,
+                        opt.work_units,
+                        &q.ctx.events,
+                    );
                 }
-                plan
+                opt.plan
             }
         };
         if self.cfg.cache_enabled {
@@ -993,9 +989,12 @@ impl Engine {
     }
 
     /// Optimize `logical`. With the cache on, the feedback store steers
-    /// planning itself: observed base-relation cardinalities enter the
-    /// join enumeration, so a repeated query family gets the join order
-    /// the first run had to discover mid-query.
+    /// planning itself: observed cardinalities of base relations, join
+    /// sub-plans and post-join operators replace catalog estimates, so
+    /// a repeated query family gets the join order the first run had to
+    /// discover mid-query and truthful estimates above it. This is the
+    /// engine's only feedback consult; executed misses and
+    /// [`Engine::prime_template`] both plan through it.
     fn optimize(&self, logical: &LogicalPlan) -> Result<Optimized> {
         let use_feedback = self.cfg.cache_enabled && !self.feedback.is_empty();
         self.optimizer.optimize_with_feedback(
@@ -1335,36 +1334,15 @@ impl Engine {
             .charge_backoff(&self.cfg, TRANSIENT_RETRY_BACKOFF_MS, retry);
     }
 
-    /// Optimizer post-pass over the feedback store: re-stamp `est_rows`
-    /// wherever a previous query observed this exact sub-plan's true
-    /// cardinality, so the controller's divergence baseline starts from
-    /// truth and repeated query families re-optimize less.
-    fn consult_feedback(&self, plan: &mut PhysPlan, log: &EventLog) {
-        if self.feedback.is_empty() {
-            return;
-        }
-        for h in apply_feedback(plan, &EngineFeedback(self), &self.cfg) {
-            self.note_feedback_applied(log, None, h.fingerprint, h.estimated_rows, h.observed_rows);
-        }
-    }
-
     /// Count one applied feedback correction toward the staleness of
-    /// the templates that depend on it, and trace it. `table` names
-    /// the base relation of a graph-level (pre-enumeration) override.
-    fn note_feedback_applied(
-        &self,
-        log: &EventLog,
-        table: Option<&str>,
-        fingerprint: u64,
-        estimated_rows: f64,
-        observed_rows: f64,
-    ) {
-        self.feedback.note_applied_for(fingerprint);
+    /// the templates that depend on it, and trace it.
+    fn note_feedback_applied(&self, log: &EventLog, hit: &FeedbackHit) {
+        self.feedback.note_applied_for(hit.fingerprint);
         log.record(ObsEvent::FeedbackApplied {
-            fingerprint,
-            estimated_rows,
-            observed_rows,
-            table: table.map(str::to_string),
+            fingerprint: hit.fingerprint,
+            estimated_rows: hit.estimated_rows,
+            observed_rows: hit.observed_rows,
+            table: hit.table.clone(),
         });
     }
 
@@ -1452,8 +1430,8 @@ impl Engine {
     /// to exactly one base-table predicate column, rebuild just that
     /// column's histogram (incremental MaxDiff) from live data and
     /// drop the per-fingerprint corrections it makes redundant.
-    fn maybe_refresh_histograms(&self, hits: &[GraphFeedbackHit], log: &EventLog) {
-        if !self.cfg.plan_cache_enabled || self.cfg.hist_refresh_hits == 0 {
+    fn maybe_refresh_histograms(&self, hits: &[FeedbackHit], log: &EventLog) {
+        if !self.cfg.plan_cache_enabled {
             return;
         }
         for h in hits {
@@ -1475,7 +1453,7 @@ impl Engine {
                 *c += 1;
                 *c
             };
-            if count < self.cfg.hist_refresh_hits {
+            if count < HIST_REFRESH_HITS {
                 continue;
             }
             self.hist_errors.lock().remove(&key);

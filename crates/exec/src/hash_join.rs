@@ -122,7 +122,7 @@ impl HashJoinExec {
                     usable = (grant as f64 / HASH_OVERHEAD) as usize;
                 }
             }
-            let Some(key) = join_key(&row, &self.build_keys, &mut self.key_scratch) else {
+            let Some(key) = join_key(&row, &self.build_keys, &mut self.key_scratch)? else {
                 continue;
             };
             match &mut parts {
@@ -192,7 +192,7 @@ impl HashJoinExec {
         self.probe.open(ctx)?;
         while let Some(row) = self.probe.next(ctx)? {
             ctx.clock.add_cpu(2);
-            if let Some(key) = join_key(&row, &self.probe_keys, &mut self.key_scratch) {
+            if let Some(key) = join_key(&row, &self.probe_keys, &mut self.key_scratch)? {
                 let p = (hash_key(key, 1) % nparts as u64) as usize;
                 ctx.storage.append_row(files[p], &row)?;
             }
@@ -251,7 +251,7 @@ impl HashJoinExec {
                 let row = Row::decode(rec)?.0;
                 ctx.clock.add_cpu(2);
                 bytes += row.encoded_len() + 16;
-                if let Some(key) = join_key(&row, &self.build_keys, &mut self.key_scratch) {
+                if let Some(key) = join_key(&row, &self.build_keys, &mut self.key_scratch)? {
                     match table.get_mut(key) {
                         Some(rows) => rows.push(row),
                         None => {
@@ -352,21 +352,26 @@ fn partition_count(grant: usize, page_size: usize, pool_pages: usize) -> usize {
 /// The join key of `row`, or `None` when a key column is NULL (NULL
 /// never joins). A single-column key borrows the row's value; a
 /// composite key is cloned into `scratch`, whose allocation is reused
-/// from row to row.
-fn join_key<'a>(row: &'a Row, keys: &[usize], scratch: &'a mut Vec<Value>) -> Option<&'a [Value]> {
+/// from row to row. A key column past the row's end is
+/// [`Row::try_get`]'s error.
+fn join_key<'a>(
+    row: &'a Row,
+    keys: &[usize],
+    scratch: &'a mut Vec<Value>,
+) -> Result<Option<&'a [Value]>> {
     if let [k] = keys {
-        let v = row.get(*k);
-        return (!v.is_null()).then_some(std::slice::from_ref(v));
+        let v = row.try_get(*k)?;
+        return Ok((!v.is_null()).then_some(std::slice::from_ref(v)));
     }
     scratch.clear();
     for &k in keys {
-        let v = row.get(k);
+        let v = row.try_get(k)?;
         if v.is_null() {
-            return None;
+            return Ok(None);
         }
         scratch.push(v.clone());
     }
-    Some(scratch)
+    Ok(Some(scratch))
 }
 
 /// The join key of a walked record, built into `scratch`, or `None`
@@ -407,7 +412,8 @@ impl Operator for HashJoinExec {
                 Phase::InMem { table } => match self.probe.next(ctx)? {
                     Some(row) => {
                         ctx.clock.add_cpu(2);
-                        if let Some(key) = join_key(&row, &self.probe_keys, &mut self.key_scratch) {
+                        if let Some(key) = join_key(&row, &self.probe_keys, &mut self.key_scratch)?
+                        {
                             if let Some(matches) = table.get(key) {
                                 for b in matches {
                                     ctx.clock.add_cpu(1);

@@ -125,6 +125,58 @@ fn run_traced(plan: &PhysPlan, fx: &Fx) -> (Vec<Row>, bool) {
     (rows, spilled)
 }
 
+/// A hash join whose key column lies past the end of one short record
+/// returns a typed error, never a panic: on the build side, and on the
+/// probe side both in memory and partitioned after a spill. The short
+/// record comes last, so under the small grant the build has already
+/// spilled when it is read.
+#[test]
+fn hash_join_short_key_record_is_a_typed_error() {
+    for short_side in ["build", "probe"] {
+        for (grant, spills) in GRANTS {
+            let fx = Fx::new();
+            let rows: Vec<(i64, i64)> = (0..300).map(|i| (i, i % 20)).collect();
+            let a = fx.table("a", &rows);
+            let b = fx.table("b", &rows);
+            let short = if short_side == "build" { &a } else { &b };
+            let PhysOp::SeqScan { spec, .. } = &short.op else {
+                unreachable!("Fx::table builds a SeqScan")
+            };
+            fx.storage
+                .append_row(spec.file, &Row::new(vec![Value::Int(7)]))
+                .unwrap();
+            let schema = a.schema.join(&b.schema);
+            let mut plan = PhysPlan::new(
+                PhysOp::HashJoin {
+                    build_keys: vec![1],
+                    probe_keys: vec![1],
+                },
+                vec![a, b],
+                schema,
+            );
+            plan.annot.mem_grant_bytes = grant;
+            plan.assign_ids();
+
+            let sink = std::sync::Arc::new(mq_obs::JsonlSink::new());
+            let obs = mq_obs::Obs::none().with_sink(sink.clone());
+            let got = {
+                let _scope = obs.enter_scope();
+                run_to_vec(&plan, &fx.ctx())
+            };
+            let err = got.expect_err("a short key record must fail the join");
+            assert!(
+                err.to_string().contains("out of range for a 1-column row"),
+                "{short_side} side, grant {grant}: {err}"
+            );
+            let spilled = sink
+                .lines()
+                .iter()
+                .any(|l| l.contains("\"event\":\"spill\""));
+            assert_eq!(spilled, spills, "{short_side} side, grant {grant}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

@@ -278,9 +278,9 @@ pub enum ObsEvent {
         estimated_rows: f64,
         /// The observed row count that replaced it.
         observed_rows: f64,
-        /// Base relation of a graph-level (pre-enumeration) override;
-        /// `None` for a sub-plan override during enumeration.
-        table: Option<String>,
+        /// Base tables of the overridden sub-plan, sorted and
+        /// comma-joined (one name for a base-relation override).
+        table: String,
     },
     /// The plan cache served a rebound template; enumeration skipped.
     PlanCacheHit {
@@ -606,12 +606,10 @@ impl ObsEvent {
                 let _ = write!(
                     out,
                     ",\"fingerprint\":\"{fingerprint:016x}\",\
-                     \"estimated_rows\":{estimated_rows},\"observed_rows\":{observed_rows}"
+                     \"estimated_rows\":{estimated_rows},\"observed_rows\":{observed_rows},\
+                     \"table\":"
                 );
-                if let Some(table) = table {
-                    out.push_str(",\"table\":");
-                    crate::json::write_json_string(out, table);
-                }
+                crate::json::write_json_string(out, table);
             }
             ObsEvent::PlanCacheHit { saved_work } => {
                 let _ = write!(out, ",\"saved_work\":{saved_work}");
@@ -776,13 +774,10 @@ impl fmt::Display for ObsEvent {
                 estimated_rows: est,
                 observed_rows: obs,
                 table,
-            } => match table {
-                Some(table) => write!(
-                    f,
-                    "feedback: planned {table} with observed {obs:.0} rows (est {est:.0}, fp {fp:016x})"
-                ),
-                None => write!(f, "feedback: est {est:.0} -> observed {obs:.0} rows (fp {fp:016x})"),
-            },
+            } => write!(
+                f,
+                "feedback: planned {table} with observed {obs:.0} rows (est {est:.0}, fp {fp:016x})"
+            ),
             ObsEvent::PlanCacheHit { saved_work } => write!(
                 f,
                 "plancache: hit (skipped {saved_work} optimizer work units)"
@@ -904,11 +899,11 @@ mod tests {
             complete: false,
             progress,
         };
-        let feedback = |table: Option<&str>| ObsEvent::FeedbackApplied {
+        let feedback = |table: &str| ObsEvent::FeedbackApplied {
             fingerprint: 0xab,
             estimated_rows: 10.0,
             observed_rows: 500.0,
-            table: table.map(str::to_string),
+            table: table.to_string(),
         };
         let lines: Vec<String> = [
             reopt(ReoptVerdict::Accept),
@@ -916,8 +911,8 @@ mod tests {
             reopt(ReoptVerdict::BelowThreshold),
             collector(true),
             collector(false),
-            feedback(Some("orders")),
-            feedback(None),
+            feedback("orders"),
+            feedback("customer,orders"),
             ObsEvent::PlanCacheAdmit { refused: None },
             ObsEvent::PlanCacheAdmit {
                 refused: Some("t has no data version".into()),
@@ -937,7 +932,7 @@ mod tests {
                 "progress op#4: ≥2048 rows vs estimate 100 — provisional re-allocation",
                 "collector op#4: observed 2048 rows (optimizer estimated 100)",
                 "feedback: planned orders with observed 500 rows (est 10, fp 00000000000000ab)",
-                "feedback: est 10 -> observed 500 rows (fp 00000000000000ab)",
+                "feedback: planned customer,orders with observed 500 rows (est 10, fp 00000000000000ab)",
                 "plancache: template entered",
                 "plancache: not entered (t has no data version)",
                 "\"event\":\"lease_deny\",\"site\":\"grow\"",

@@ -7,11 +7,11 @@ use std::collections::HashMap;
 use mq_catalog::{Catalog, TableEntry};
 use mq_common::{EngineConfig, MqError, Result, Value};
 use mq_expr::{estimate_selectivity, CmpOp, Expr};
-use mq_plan::{subplan_fingerprint, LogicalPlan, PhysOp, PhysPlan, ScanSpec};
+use mq_plan::{LogicalPlan, PhysOp, PhysPlan, ScanSpec};
 use mq_storage::Storage;
 
 use crate::cost::recost;
-use crate::feedback::{CardFeedback, GraphFeedbackHit};
+use crate::feedback::{apply_to_plan, CardFeedback, FeedbackHit};
 use crate::props::RelProps;
 
 /// One base relation of the join region, with its pushed-down local
@@ -283,65 +283,19 @@ pub struct Enumerated {
     pub props: RelProps,
     /// Candidate plans costed during the search.
     pub work_units: u64,
-    /// Estimate overrides taken from the cardinality feedback store
-    /// during the search, deduplicated by fingerprint (empty without
-    /// feedback).
-    pub feedback_hits: Vec<GraphFeedbackHit>,
-}
-
-/// Override a DP candidate's output-row estimate when the feedback
-/// store has observed this exact sub-plan's true cardinality. The
-/// correction lands on `props.rows` *before* the candidate competes and
-/// before anything joins on top of it, so one observed sub-plan steers
-/// the operator choice and join order of the whole tree above it.
-///
-/// Fingerprints are physical-operator-sensitive (`hj(…)` ≠ `inlj(…)`),
-/// so an observation made under one join operator does not transfer to
-/// an alternative operator for the same logical join — the alternative
-/// keeps its catalog estimate. That bias is harmless in practice: the
-/// corrected candidate carries the truth upward once it wins, and it
-/// wins exactly when the truth makes it cheapest.
-fn consult_feedback(
-    plan: &mut PhysPlan,
-    props: &mut RelProps,
-    feedback: Option<&dyn CardFeedback>,
-    cfg: &EngineConfig,
-    hits: &mut Vec<GraphFeedbackHit>,
-) {
-    let Some(fb) = feedback else { return };
-    let fp = subplan_fingerprint(plan);
-    let Some(observed) = fb.observed_rows(fp) else {
-        return;
-    };
-    if !observed.is_finite() || observed < 0.0 || observed == plan.annot.est_rows {
-        return;
-    }
-    if !hits.iter().any(|h| h.fingerprint == fp) {
-        hits.push(GraphFeedbackHit {
-            table: mq_plan::base_tables(plan).join(","),
-            fingerprint: fp,
-            estimated_rows: plan.annot.est_rows,
-            observed_rows: observed,
-            // Join-level hits are never attributable to one base-table
-            // column; only graph-level (single-relation) hits drive the
-            // adaptive histogram refresh.
-            columns: Vec::new(),
-        });
-    }
-    plan.annot.est_rows = observed;
-    props.rows = observed;
-    recost(plan, cfg);
 }
 
 /// Enumerate left-deep join orders over the query graph and return the
 /// cheapest plan under the cost model (optimistic full-budget memory).
 /// With `feedback`, every candidate sub-plan's cardinality is checked
-/// against previously observed truths through [`CardFeedback`].
+/// against previously observed truths through [`CardFeedback`], and
+/// the overrides are recorded in `feedback_hits`.
 pub fn enumerate(
     graph: &QueryGraph,
     storage: &Storage,
     cfg: &EngineConfig,
     feedback: Option<&dyn CardFeedback>,
+    feedback_hits: &mut Vec<FeedbackHit>,
 ) -> Result<Enumerated> {
     let n = graph.relations.len();
     if n > 12 {
@@ -351,7 +305,6 @@ pub fn enumerate(
     }
     let mut work: u64 = 0;
     let mut best: HashMap<u64, Candidate> = HashMap::new();
-    let mut feedback_hits: Vec<GraphFeedbackHit> = Vec::new();
 
     // Singletons: best access path per relation.
     for (i, rel) in graph.relations.iter().enumerate() {
@@ -360,7 +313,7 @@ pub fn enumerate(
         let mut plan = plan;
         recost(&mut plan, cfg);
         let mut props = rel.props.clone();
-        consult_feedback(&mut plan, &mut props, feedback, cfg, &mut feedback_hits);
+        apply_to_plan(&mut plan, &mut props, feedback, cfg, feedback_hits);
         best.insert(
             1 << i,
             Candidate {
@@ -382,21 +335,12 @@ pub fn enumerate(
             let left = best.get(&mask).cloned().expect("present");
             // Prefer connected extensions; fall back to cross products
             // only when nothing connects (star queries stay connected).
-            let mut connected_any = false;
-            for rel_idx in 0..n {
-                if mask & (1 << rel_idx) != 0 {
-                    continue;
-                }
-                let pairs = connecting_pairs(graph, mask, rel_idx);
-                if !pairs.is_empty() {
-                    connected_any = true;
-                }
-            }
-            for rel_idx in 0..n {
-                if mask & (1 << rel_idx) != 0 {
-                    continue;
-                }
-                let pairs = connecting_pairs(graph, mask, rel_idx);
+            let extensions: Vec<(usize, Vec<(String, String)>)> = (0..n)
+                .filter(|&rel_idx| mask & (1 << rel_idx) == 0)
+                .map(|rel_idx| (rel_idx, connecting_pairs(graph, mask, rel_idx)))
+                .collect();
+            let connected_any = extensions.iter().any(|(_, pairs)| !pairs.is_empty());
+            for (rel_idx, pairs) in extensions {
                 if pairs.is_empty() && connected_any {
                     continue;
                 }
@@ -405,12 +349,12 @@ pub fn enumerate(
                     join_candidates(&left, &graph.relations[rel_idx], &pairs, storage, cfg)?
                 {
                     work += 1;
-                    consult_feedback(
+                    apply_to_plan(
                         &mut cand.plan,
                         &mut cand.props,
                         feedback,
                         cfg,
-                        &mut feedback_hits,
+                        feedback_hits,
                     );
                     cand.cost_ms = cand.plan.annot.est_total_time_ms;
                     let entry = best.get(&new_mask);
@@ -430,7 +374,6 @@ pub fn enumerate(
         plan: winner.plan,
         props: winner.props,
         work_units: work,
-        feedback_hits,
     })
 }
 

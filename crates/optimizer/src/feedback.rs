@@ -5,23 +5,27 @@
 //! statistics stored in the database catalogs"; the cross-query cache
 //! subsystem goes one step further and remembers the *exact* observed
 //! cardinality of every checkpointed sub-plan, keyed by its canonical
-//! fingerprint. This module is the optimizer-side consumer: a post-pass
-//! over an annotated physical plan that re-stamps `est_rows` wherever
-//! the feedback store has seen that exact sub-plan before, then recosts.
+//! fingerprint. This module is the optimizer-side consumer, and
+//! `consult` is its one read of the store. Planning consults it at
+//! three points: each base relation before join enumeration
+//! ([`apply_to_graph`]), each DP candidate, and each post-join operator
+//! (residual filter, aggregate, sort, limit, projection) as it is
+//! built (`apply_to_plan`). A correction lands before anything is
+//! built on top of the corrected node, so it steers the join order and
+//! operator choice above it and the estimates of every node above it.
 //!
-//! The pass deliberately does **not** re-enumerate join orders — the
-//! plan shape is whatever the DP enumeration picked from catalog
-//! statistics. What it fixes is the *baseline* the runtime controller
-//! compares observations against: with truthful annotations, the
-//! divergence `max(obs/est, est/obs)` of a repeated query family stays
-//! under θ2 and the controller stops proposing mid-query switches the
-//! first run already paid for.
+//! Truthful annotations also fix the *baseline* the runtime controller
+//! compares observations against: the divergence `max(obs/est,
+//! est/obs)` of a repeated query family stays under θ2 and the
+//! controller stops proposing mid-query switches the first run already
+//! paid for.
 
 use mq_common::EngineConfig;
-use mq_plan::{subplan_fingerprint, NodeId, PhysOp, PhysPlan, ScanSpec};
+use mq_plan::{base_tables, subplan_fingerprint, PhysOp, PhysPlan, ScanSpec};
 
-use crate::cost;
+use crate::cost::recost;
 use crate::enumerate::QueryGraph;
+use crate::props::RelProps;
 
 /// Source of observed sub-plan cardinalities. Implemented by the
 /// engine over its feedback store; a trait so the optimizer stays
@@ -33,35 +37,53 @@ pub trait CardFeedback {
     fn observed_rows(&self, fingerprint: u64) -> Option<f64>;
 }
 
-/// One estimate override performed by [`apply_feedback`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// One estimate override performed while planning.
+#[derive(Debug, Clone)]
 pub struct FeedbackHit {
-    /// Plan node whose estimate was overridden.
-    pub node: NodeId,
-    /// Canonical fingerprint of the sub-plan rooted there.
+    /// Base tables of the overridden sub-plan, sorted and
+    /// comma-joined (one name for a base-relation override).
+    pub table: String,
+    /// Canonical fingerprint of the overridden sub-plan.
     pub fingerprint: u64,
     /// The catalog-derived estimate that was replaced.
     pub estimated_rows: f64,
     /// The observed row count stamped in.
     pub observed_rows: f64,
-}
-
-/// One base-relation override performed by [`apply_to_graph`] before
-/// join enumeration.
-#[derive(Debug, Clone)]
-pub struct GraphFeedbackHit {
-    /// Base table whose filtered-scan estimate was overridden.
-    pub table: String,
-    /// Canonical fingerprint of the filtered sequential scan.
-    pub fingerprint: u64,
-    /// The catalog-derived post-predicate estimate that was replaced.
-    pub estimated_rows: f64,
-    /// The observed row count stamped in.
-    pub observed_rows: f64,
     /// Bare column names the relation's local predicate references —
     /// the candidates for adaptive histogram refresh when this hit's
-    /// error keeps recurring.
+    /// error keeps recurring. Empty for every override but a
+    /// base-relation one: a join or post-join error is never
+    /// attributable to one base-table column.
     pub columns: Vec<String>,
+}
+
+/// The one consult of the feedback store: the observed row count for
+/// `fingerprint` when it is valid (finite, ≥ 0) and differs from
+/// `estimated_rows`. A new fingerprint is recorded in `hits`, named by
+/// `describe` (base tables, refresh columns); a repeated one is applied
+/// again but recorded once.
+pub(crate) fn consult(
+    feedback: &dyn CardFeedback,
+    fingerprint: u64,
+    estimated_rows: f64,
+    hits: &mut Vec<FeedbackHit>,
+    describe: impl FnOnce() -> (String, Vec<String>),
+) -> Option<f64> {
+    let observed = feedback.observed_rows(fingerprint)?;
+    if !observed.is_finite() || observed < 0.0 || observed == estimated_rows {
+        return None;
+    }
+    if !hits.iter().any(|h| h.fingerprint == fingerprint) {
+        let (table, columns) = describe();
+        hits.push(FeedbackHit {
+            table,
+            fingerprint,
+            estimated_rows,
+            observed_rows: observed,
+            columns,
+        });
+    }
+    Some(observed)
 }
 
 /// Steer the *join enumeration* with observed cardinalities: override
@@ -73,11 +95,17 @@ pub struct GraphFeedbackHit {
 /// repeated query family gets the join order and operators the first
 /// run had to discover mid-query — not just truthful annotations on
 /// the same mis-chosen shape.
+///
+/// The DP's own consult does not make this step redundant, for two
+/// reasons. A relation joined as the inner input is rebuilt from its
+/// [`RelProps`] for every join candidate, never taken from a consulted
+/// singleton, so only this override reaches it. And only this step
+/// knows the predicate columns that adaptive histogram refresh keys on.
 pub fn apply_to_graph(
     graph: &mut QueryGraph,
     feedback: &dyn CardFeedback,
-) -> Vec<GraphFeedbackHit> {
-    let mut hits = Vec::new();
+    hits: &mut Vec<FeedbackHit>,
+) {
     for rel in &mut graph.relations {
         // Mirror the seq-scan alternative `best_access_path` builds;
         // only the table name and (canonically sorted) conjuncts feed
@@ -103,161 +131,58 @@ pub fn apply_to_graph(
             rel.entry.schema.clone(),
         );
         let fp = subplan_fingerprint(&probe);
-        if let Some(observed) = feedback.observed_rows(fp) {
-            if observed.is_finite() && observed >= 0.0 && observed != rel.props.rows {
-                // Bare (unqualified, deduped) predicate columns: the
-                // refresh machinery attributes the error to a column
-                // only when exactly one is involved.
-                let mut columns: Vec<String> = rel
-                    .local
-                    .as_ref()
-                    .map(|p| {
-                        p.referenced_columns()
-                            .iter()
-                            .map(|c| c.rsplit('.').next().unwrap_or(c).to_string())
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                columns.sort();
-                columns.dedup();
-                hits.push(GraphFeedbackHit {
-                    table: rel.entry.name.clone(),
-                    fingerprint: fp,
-                    estimated_rows: rel.props.rows,
-                    observed_rows: observed,
-                    columns,
-                });
-                rel.props.rows = observed;
-            }
+        let describe = || {
+            // Bare (unqualified, deduped) predicate columns: the
+            // refresh machinery attributes the error to a column
+            // only when exactly one is involved.
+            let mut columns: Vec<String> = rel
+                .local
+                .as_ref()
+                .map(|p| {
+                    p.referenced_columns()
+                        .iter()
+                        .map(|c| c.rsplit('.').next().unwrap_or(c).to_string())
+                        .collect()
+                })
+                .unwrap_or_default();
+            columns.sort();
+            columns.dedup();
+            (rel.entry.name.clone(), columns)
+        };
+        if let Some(observed) = consult(feedback, fp, rel.props.rows, hits, describe) {
+            rel.props.rows = observed;
         }
     }
-    hits
 }
 
-/// Override `est_rows` on every sub-tree the feedback store has an
-/// observation for, then recost the whole plan. Returns the overrides
-/// performed (root-last, matching the bottom-up walk) so the caller
-/// can emit `feedback_applied` events.
-pub fn apply_feedback(
+/// Override a freshly built node's output-row estimate — a DP
+/// candidate or a post-join operator — when the feedback store has
+/// observed this exact sub-plan's true cardinality, then recost it. The
+/// correction lands on `props.rows` *before* the candidate competes
+/// and before anything is built on top of it, so one observed sub-plan
+/// steers the operator choice, join order and estimates of the whole
+/// tree above it.
+///
+/// Fingerprints are physical-operator-sensitive (`hj(…)` ≠ `inlj(…)`),
+/// so an observation made under one join operator does not transfer to
+/// an alternative operator for the same logical join — the alternative
+/// keeps its catalog estimate. That bias is harmless in practice: the
+/// corrected candidate carries the truth upward once it wins, and it
+/// wins exactly when the truth makes it cheapest.
+pub(crate) fn apply_to_plan(
     plan: &mut PhysPlan,
-    feedback: &dyn CardFeedback,
+    props: &mut RelProps,
+    feedback: Option<&dyn CardFeedback>,
     cfg: &EngineConfig,
-) -> Vec<FeedbackHit> {
-    let mut hits = Vec::new();
-    apply_rec(plan, feedback, &mut hits);
-    if !hits.is_empty() {
-        cost::recost(plan, cfg);
-    }
-    hits
-}
-
-fn apply_rec(plan: &mut PhysPlan, feedback: &dyn CardFeedback, hits: &mut Vec<FeedbackHit>) {
-    for c in &mut plan.children {
-        apply_rec(c, feedback, hits);
-    }
-    // Collectors and exchanges share their child's fingerprint (they
-    // are canonically transparent); stamping them too would double-
-    // count the hit, so only structural nodes are probed — their
-    // annotation is copied onto any transparent parent afterwards.
-    if matches!(
-        plan.op,
-        PhysOp::StatsCollector { .. } | PhysOp::Exchange { .. }
-    ) {
-        plan.annot.est_rows = plan.children[0].annot.est_rows;
-        return;
-    }
+    hits: &mut Vec<FeedbackHit>,
+) {
+    let Some(fb) = feedback else { return };
     let fp = subplan_fingerprint(plan);
-    if let Some(observed) = feedback.observed_rows(fp) {
-        if observed.is_finite() && observed >= 0.0 && observed != plan.annot.est_rows {
-            hits.push(FeedbackHit {
-                node: plan.id,
-                fingerprint: fp,
-                estimated_rows: plan.annot.est_rows,
-                observed_rows: observed,
-            });
-            plan.annot.est_rows = observed;
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mq_common::{DataType, Field, FileId, Schema};
-    use mq_plan::ScanSpec;
-    use std::collections::HashMap;
-
-    struct MapFeedback(HashMap<u64, f64>);
-
-    impl CardFeedback for MapFeedback {
-        fn observed_rows(&self, fingerprint: u64) -> Option<f64> {
-            self.0.get(&fingerprint).copied()
-        }
-    }
-
-    fn scan(table: &str, est: f64) -> PhysPlan {
-        let mut p = PhysPlan::new(
-            PhysOp::SeqScan {
-                spec: ScanSpec {
-                    table: table.into(),
-                    file: FileId(0),
-                    pages: 10,
-                    rows: 100,
-                },
-                filter: None,
-            },
-            vec![],
-            Schema::new(vec![Field::qualified(table, "k", DataType::Int)]).unwrap(),
-        );
-        p.annot.est_rows = est;
-        p.annot.est_row_bytes = 16.0;
-        p
-    }
-
-    #[test]
-    fn observation_overrides_estimate_and_recosts() {
-        let mut plan = scan("t", 100.0);
-        plan.assign_ids();
-        let fp = subplan_fingerprint(&plan);
-        let fb = MapFeedback(HashMap::from([(fp, 5000.0)]));
-        let cfg = EngineConfig::default();
-        let hits = apply_feedback(&mut plan, &fb, &cfg);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].fingerprint, fp);
-        assert_eq!(hits[0].estimated_rows, 100.0);
-        assert_eq!(plan.annot.est_rows, 5000.0);
-        assert!(plan.annot.est_total_time_ms > 0.0);
-    }
-
-    #[test]
-    fn unknown_fingerprints_leave_plan_untouched() {
-        let mut plan = scan("t", 100.0);
-        plan.assign_ids();
-        let fb = MapFeedback(HashMap::new());
-        let hits = apply_feedback(&mut plan, &fb, &EngineConfig::default());
-        assert!(hits.is_empty());
-        assert_eq!(plan.annot.est_rows, 100.0);
-    }
-
-    #[test]
-    fn transparent_nodes_inherit_without_double_count() {
-        let base = scan("t", 100.0);
-        let schema = base.schema.clone();
-        let mut plan = PhysPlan::new(
-            PhysOp::StatsCollector {
-                specs: vec![],
-                site: "s".into(),
-            },
-            vec![base],
-            schema,
-        );
-        plan.annot.est_rows = 100.0;
-        plan.assign_ids();
-        let fp = subplan_fingerprint(&plan); // = the scan's fingerprint
-        let fb = MapFeedback(HashMap::from([(fp, 7.0)]));
-        let hits = apply_feedback(&mut plan, &fb, &EngineConfig::default());
-        assert_eq!(hits.len(), 1, "one hit, not one per transparent layer");
-        assert_eq!(plan.children[0].annot.est_rows, 7.0);
-        assert_eq!(plan.annot.est_rows, 7.0, "collector inherits the child");
-    }
+    let describe = || (base_tables(plan).join(","), Vec::new());
+    let Some(observed) = consult(fb, fp, plan.annot.est_rows, hits, describe) else {
+        return;
+    };
+    plan.annot.est_rows = observed;
+    props.rows = observed;
+    recost(plan, cfg);
 }

@@ -34,7 +34,7 @@ use mq_storage::Storage;
 pub use calibrate::OptCalibration;
 pub use cost::{materialize_cost, recost};
 pub use enumerate::{decompose, enumerate, QueryGraph};
-pub use feedback::{apply_feedback, CardFeedback, FeedbackHit, GraphFeedbackHit};
+pub use feedback::{CardFeedback, FeedbackHit};
 pub use props::RelProps;
 
 /// Result of optimization.
@@ -49,9 +49,10 @@ pub struct Optimized {
     pub work_units: u64,
     /// Output statistics of the plan root.
     pub props: RelProps,
-    /// Base-relation estimate overrides taken from a cardinality
-    /// feedback store before enumeration (empty without feedback).
-    pub feedback_hits: Vec<GraphFeedbackHit>,
+    /// Estimate overrides taken from a cardinality feedback store, one
+    /// per fingerprint in planning order: base relations, then DP
+    /// candidates, then post-join operators (empty without feedback).
+    pub feedback_hits: Vec<FeedbackHit>,
 }
 
 /// The query optimizer.
@@ -83,9 +84,10 @@ impl Optimizer {
 
     /// [`Optimizer::optimize`] with an optional cardinality feedback
     /// source: observed row counts for previously-executed sub-plans
-    /// override the catalog-derived base-relation estimates *before*
-    /// join enumeration, steering join order and operator choice (see
-    /// [`feedback::apply_to_graph`]).
+    /// override the catalog-derived estimates of base relations before
+    /// join enumeration, of DP candidates during it and of post-join
+    /// operators after it, steering join order, operator choice and
+    /// every estimate above a corrected node (see [`feedback`]).
     pub fn optimize_with_feedback(
         &self,
         logical: &LogicalPlan,
@@ -96,16 +98,11 @@ impl Optimizer {
         let cfg = &self.cfg;
         let mut post = Vec::new();
         let mut graph = decompose(logical, catalog, storage, cfg, &mut post)?;
-        let mut feedback_hits = match card_feedback {
-            Some(fb) => feedback::apply_to_graph(&mut graph, fb),
-            None => Vec::new(),
-        };
-        let enumerated = enumerate(&graph, storage, cfg, card_feedback)?;
-        for h in enumerated.feedback_hits {
-            if !feedback_hits.iter().any(|e| e.fingerprint == h.fingerprint) {
-                feedback_hits.push(h);
-            }
+        let mut feedback_hits = Vec::new();
+        if let Some(fb) = card_feedback {
+            feedback::apply_to_graph(&mut graph, fb, &mut feedback_hits);
         }
+        let enumerated = enumerate(&graph, storage, cfg, card_feedback, &mut feedback_hits)?;
         let mut plan = enumerated.plan;
         let mut props = enumerated.props;
         let mut work = enumerated.work_units;
@@ -120,13 +117,27 @@ impl Optimizer {
             node.annot.est_rows = new_props.rows;
             node.annot.est_row_bytes = new_props.row_bytes;
             props = new_props;
+            feedback::apply_to_plan(
+                &mut node,
+                &mut props,
+                card_feedback,
+                cfg,
+                &mut feedback_hits,
+            );
             plan = node;
             work += 1;
         }
 
         // Re-apply the peeled post-join operators, innermost first.
         for op in post.iter().rev() {
-            plan = self.apply_post(op, plan, &mut props)?;
+            plan = apply_post(op, plan, &mut props)?;
+            feedback::apply_to_plan(
+                &mut plan,
+                &mut props,
+                card_feedback,
+                cfg,
+                &mut feedback_hits,
+            );
             work += 1;
         }
 
@@ -139,116 +150,110 @@ impl Optimizer {
             feedback_hits,
         })
     }
+}
 
-    fn apply_post(
-        &self,
-        op: &LogicalPlan,
-        input: PhysPlan,
-        props: &mut RelProps,
-    ) -> Result<PhysPlan> {
-        let _ = &self.cfg;
-        match op {
-            LogicalPlan::Aggregate { group_by, aggs, .. } => {
-                let group: Vec<usize> = group_by
-                    .iter()
-                    .map(|g| input.schema.index_of(g))
-                    .collect::<Result<_>>()?;
-                let bound_aggs: Vec<mq_plan::AggExpr> = aggs
-                    .iter()
-                    .map(|a| {
-                        Ok(mq_plan::AggExpr {
-                            func: a.func,
-                            arg: match &a.arg {
-                                Some(e) => Some(e.bind(&input.schema)?),
-                                None => None,
-                            },
-                            name: a.name.clone(),
-                        })
+/// Build the physical operator for the post-join operator `op` over
+/// `input`, updating `props` to describe its output.
+fn apply_post(op: &LogicalPlan, input: PhysPlan, props: &mut RelProps) -> Result<PhysPlan> {
+    match op {
+        LogicalPlan::Aggregate { group_by, aggs, .. } => {
+            let group: Vec<usize> = group_by
+                .iter()
+                .map(|g| input.schema.index_of(g))
+                .collect::<Result<_>>()?;
+            let bound_aggs: Vec<mq_plan::AggExpr> = aggs
+                .iter()
+                .map(|a| {
+                    Ok(mq_plan::AggExpr {
+                        func: a.func,
+                        arg: match &a.arg {
+                            Some(e) => Some(e.bind(&input.schema)?),
+                            None => None,
+                        },
+                        name: a.name.clone(),
                     })
-                    .collect::<Result<_>>()?;
-                let mut fields: Vec<Field> = group
-                    .iter()
-                    .map(|&i| input.schema.field(i).clone())
-                    .collect();
-                for a in aggs {
-                    let dtype = match (a.func, &a.arg) {
-                        (AggFunc::Count, _) => DataType::Int,
-                        (AggFunc::Avg, _) => DataType::Float,
-                        (_, Some(e)) => infer_type(e, &input.schema)?,
-                        (f, None) => {
-                            return Err(MqError::Plan(format!("{f} requires an argument")))
-                        }
-                    };
-                    fields.push(Field::new(a.name.as_str(), dtype));
-                }
-                let schema = Schema::new(fields)?;
-                let groups = props.group_count(group_by);
-                let row_bytes = width_guess(&schema);
-                let mut node = PhysPlan::new(
-                    PhysOp::HashAggregate {
-                        group,
-                        aggs: bound_aggs,
-                    },
-                    vec![input],
-                    schema.clone(),
-                );
-                node.annot.est_rows = groups;
-                node.annot.est_row_bytes = row_bytes;
-                props.rows = groups;
-                props.row_bytes = row_bytes;
-                props.schema = schema;
-                props.columns.retain(|k, _| {
-                    group_by.iter().any(|g| {
-                        k == g
-                            || k.ends_with(&format!(".{g}"))
-                            || g.ends_with(&format!(".{}", k.rsplit('.').next().unwrap_or(k)))
-                    })
-                });
-                Ok(node)
+                })
+                .collect::<Result<_>>()?;
+            let mut fields: Vec<Field> = group
+                .iter()
+                .map(|&i| input.schema.field(i).clone())
+                .collect();
+            for a in aggs {
+                let dtype = match (a.func, &a.arg) {
+                    (AggFunc::Count, _) => DataType::Int,
+                    (AggFunc::Avg, _) => DataType::Float,
+                    (_, Some(e)) => infer_type(e, &input.schema)?,
+                    (f, None) => return Err(MqError::Plan(format!("{f} requires an argument"))),
+                };
+                fields.push(Field::new(a.name.as_str(), dtype));
             }
-            LogicalPlan::Sort { keys, .. } => {
-                let positions: Vec<(usize, bool)> = keys
-                    .iter()
-                    .map(|(k, asc)| Ok((input.schema.index_of(k)?, *asc)))
-                    .collect::<Result<_>>()?;
-                let schema = input.schema.clone();
-                let mut node = PhysPlan::new(PhysOp::Sort { keys: positions }, vec![input], schema);
-                node.annot.est_rows = props.rows;
-                node.annot.est_row_bytes = props.row_bytes;
-                Ok(node)
-            }
-            LogicalPlan::Limit { n, .. } => {
-                let schema = input.schema.clone();
-                let mut node = PhysPlan::new(PhysOp::Limit { n: *n }, vec![input], schema);
-                node.annot.est_rows = props.rows.min(*n as f64);
-                node.annot.est_row_bytes = props.row_bytes;
-                props.rows = node.annot.est_rows;
-                Ok(node)
-            }
-            LogicalPlan::Project { exprs, .. } => {
-                let mut bound = Vec::with_capacity(exprs.len());
-                let mut fields = Vec::with_capacity(exprs.len());
-                for (e, name) in exprs {
-                    bound.push((e.bind(&input.schema)?, name.clone()));
-                    fields.push(Field::new(name.as_str(), infer_type(e, &input.schema)?));
-                }
-                let schema = Schema::new(fields)?;
-                let mut node = PhysPlan::new(
-                    PhysOp::Project { exprs: bound },
-                    vec![input],
-                    schema.clone(),
-                );
-                node.annot.est_rows = props.rows;
-                node.annot.est_row_bytes = width_guess(&schema);
-                props.row_bytes = node.annot.est_row_bytes;
-                props.schema = schema;
-                Ok(node)
-            }
-            other => Err(MqError::Plan(format!(
-                "unsupported post-join operator {:?}",
-                std::mem::discriminant(other)
-            ))),
+            let schema = Schema::new(fields)?;
+            let groups = props.group_count(group_by);
+            let row_bytes = width_guess(&schema);
+            let mut node = PhysPlan::new(
+                PhysOp::HashAggregate {
+                    group,
+                    aggs: bound_aggs,
+                },
+                vec![input],
+                schema.clone(),
+            );
+            node.annot.est_rows = groups;
+            node.annot.est_row_bytes = row_bytes;
+            props.rows = groups;
+            props.row_bytes = row_bytes;
+            props.schema = schema;
+            props.columns.retain(|k, _| {
+                group_by.iter().any(|g| {
+                    k == g
+                        || k.ends_with(&format!(".{g}"))
+                        || g.ends_with(&format!(".{}", k.rsplit('.').next().unwrap_or(k)))
+                })
+            });
+            Ok(node)
         }
+        LogicalPlan::Sort { keys, .. } => {
+            let positions: Vec<(usize, bool)> = keys
+                .iter()
+                .map(|(k, asc)| Ok((input.schema.index_of(k)?, *asc)))
+                .collect::<Result<_>>()?;
+            let schema = input.schema.clone();
+            let mut node = PhysPlan::new(PhysOp::Sort { keys: positions }, vec![input], schema);
+            node.annot.est_rows = props.rows;
+            node.annot.est_row_bytes = props.row_bytes;
+            Ok(node)
+        }
+        LogicalPlan::Limit { n, .. } => {
+            let schema = input.schema.clone();
+            let mut node = PhysPlan::new(PhysOp::Limit { n: *n }, vec![input], schema);
+            node.annot.est_rows = props.rows.min(*n as f64);
+            node.annot.est_row_bytes = props.row_bytes;
+            props.rows = node.annot.est_rows;
+            Ok(node)
+        }
+        LogicalPlan::Project { exprs, .. } => {
+            let mut bound = Vec::with_capacity(exprs.len());
+            let mut fields = Vec::with_capacity(exprs.len());
+            for (e, name) in exprs {
+                bound.push((e.bind(&input.schema)?, name.clone()));
+                fields.push(Field::new(name.as_str(), infer_type(e, &input.schema)?));
+            }
+            let schema = Schema::new(fields)?;
+            let mut node = PhysPlan::new(
+                PhysOp::Project { exprs: bound },
+                vec![input],
+                schema.clone(),
+            );
+            node.annot.est_rows = props.rows;
+            node.annot.est_row_bytes = width_guess(&schema);
+            props.row_bytes = node.annot.est_row_bytes;
+            props.schema = schema;
+            Ok(node)
+        }
+        other => Err(MqError::Plan(format!(
+            "unsupported post-join operator {:?}",
+            std::mem::discriminant(other)
+        ))),
     }
 }
 
@@ -663,6 +668,69 @@ mod tests {
             "cross product rows {}",
             result.props.rows
         );
+    }
+
+    #[test]
+    fn feedback_stamps_post_join_operators() {
+        use mq_plan::subplan_fingerprint;
+        use std::collections::HashMap;
+
+        struct MapFeedback(HashMap<u64, f64>);
+        impl CardFeedback for MapFeedback {
+            fn observed_rows(&self, fingerprint: u64) -> Option<f64> {
+                self.0.get(&fingerprint).copied()
+            }
+        }
+
+        let (cat, st, cfg) = setup();
+        let opt = Optimizer::new(cfg);
+        let q = star_query()
+            .aggregate(
+                vec!["dim1.a"],
+                vec![mq_plan::AggExpr {
+                    func: AggFunc::Count,
+                    arg: None,
+                    name: "n".into(),
+                }],
+            )
+            .sort(vec![("dim1.a", true)]);
+        let plain = opt.optimize(&q, &cat, &st).unwrap();
+        assert!(matches!(plain.plan.op, PhysOp::Sort { .. }));
+        let agg = &plain.plan.children[0];
+        assert!(matches!(agg.op, PhysOp::HashAggregate { .. }));
+        let fp = subplan_fingerprint(agg);
+        let est = agg.annot.est_rows;
+        assert_ne!(est, 7.0);
+        let annotations = |p: &PhysPlan| {
+            let mut out = Vec::new();
+            p.walk(&mut |n| out.push((n.annot.est_rows, n.annot.est_total_time_ms)));
+            out
+        };
+
+        // Unknown fingerprints leave every estimate and cost untouched.
+        let unknown = MapFeedback(HashMap::from([(fp ^ 1, 7.0)]));
+        let same = opt
+            .optimize_with_feedback(&q, &cat, &st, Some(&unknown))
+            .unwrap();
+        assert!(same.feedback_hits.is_empty());
+        assert_eq!(annotations(&same.plan), annotations(&plain.plan));
+
+        // An observation of the aggregate stamps it and, through the
+        // output statistics, the sort built on top of it.
+        let known = MapFeedback(HashMap::from([(fp, 7.0)]));
+        let fed = opt
+            .optimize_with_feedback(&q, &cat, &st, Some(&known))
+            .unwrap();
+        assert_eq!(fed.feedback_hits.len(), 1);
+        let hit = &fed.feedback_hits[0];
+        assert_eq!(hit.fingerprint, fp);
+        assert_eq!((hit.estimated_rows, hit.observed_rows), (est, 7.0));
+        assert_eq!(hit.table, "dim1,dim2,fact");
+        assert!(hit.columns.is_empty());
+        assert_eq!(fed.plan.children[0].annot.est_rows, 7.0);
+        assert_eq!(fed.plan.annot.est_rows, 7.0);
+        assert_eq!(fed.props.rows, 7.0);
+        assert!(fed.plan.annot.est_total_time_ms < plain.plan.annot.est_total_time_ms);
     }
 
     #[test]

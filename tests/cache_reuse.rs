@@ -4,9 +4,11 @@
 //! 4-worker concurrent runtime — and writes invalidate what they must.
 
 use midq::common::{EngineConfig, FaultInjector, FaultProfile};
-use midq::obs::{MetricsRegistry, Obs};
+use midq::obs::{MetricsRegistry, Obs, ObsEvent};
+use midq::plan::{subplan_fingerprint, PhysOp, PhysPlan};
 use midq::tpcd::{queries, TpcdConfig};
-use midq::{Database, JobResult, QueryOutcome, ReoptMode, Workload, WorkloadQuery};
+use midq::{Database, JobResult, QueryOutcome, ReoptMode, SqlOutcome, Workload, WorkloadQuery};
+use mq_plancache::{Freshness, PlanProbe};
 
 /// The four families the cache experiment tracks: a single-table
 /// aggregate (never promotes, always probes), and three multi-join
@@ -321,4 +323,122 @@ fn job_accessors_agree_with_and_without_metrics() {
     assert!(any(|r| r.cache_bytes_saved() > 0));
     assert!(any(|r| r.plan_cache_hits() > 0));
     assert!(any(|r| r.segment_retries() > 0));
+}
+
+/// The `feedback_applied` events of a warm run, as `(table,
+/// fingerprint, estimated rows, observed rows)`.
+fn feedback_events(outcome: &QueryOutcome) -> Vec<(String, String, String, String)> {
+    outcome
+        .events
+        .iter()
+        .filter_map(|e| match e {
+            ObsEvent::FeedbackApplied {
+                fingerprint,
+                estimated_rows,
+                observed_rows,
+                table,
+            } => Some((
+                table.clone(),
+                format!("{fingerprint:016x}"),
+                format!("{estimated_rows:.1}"),
+                format!("{observed_rows:.1}"),
+            )),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Warm Q3 plans through the feedback store at every level the first
+/// run observed: the customer scan, both joins, and the GROUP BY above
+/// the join tree. Each correction names its base tables.
+#[test]
+fn warm_q3_feedback_corrections_are_pinned() {
+    let db = load_db(true);
+    let q3 = queries::q3();
+    db.query_plan(&q3).mode(ReoptMode::PlanOnly).run().unwrap();
+    let warm = db.query_plan(&q3).mode(ReoptMode::PlanOnly).run().unwrap();
+    let want = [
+        ("customer", "3866e5287d36bb70", "242.0", "252.0"),
+        ("customer,orders", "80c74cbae82b4e0c", "1068.1", "1264.0"),
+        (
+            "customer,lineitem,orders",
+            "5cd560f2dc242025",
+            "4656.9",
+            "250.0",
+        ),
+        (
+            "customer,lineitem,orders",
+            "13b5623fd47d6144",
+            "250.0",
+            "93.0",
+        ),
+    ]
+    .map(|(t, fp, est, obs)| (t.into(), fp.into(), est.into(), obs.into()));
+    assert_eq!(feedback_events(&warm), want, "{}", warm.report());
+}
+
+/// `Database::prepare` plans through the same feedback consult as an
+/// executed miss: with the first run's observations stored, the
+/// template it admits carries the same per-node estimates, the
+/// GROUP BY's observed cardinality included.
+#[test]
+fn prepared_template_matches_an_executed_miss() {
+    let db = Database::new(EngineConfig {
+        buffer_pool_pages: 64,
+        query_memory_bytes: 512 * 1024,
+        stats_feedback: false,
+        switch_margin: 1.0,
+        cache_enabled: true,
+        plan_cache_enabled: true,
+        ..EngineConfig::default()
+    })
+    .unwrap();
+    db.load_tpcd(&TpcdConfig {
+        scale: 0.008,
+        analyze_after_fraction: 0.5,
+        ..TpcdConfig::default()
+    })
+    .unwrap();
+    let sql = queries::q3_sql();
+    let norm = midq::normalize(sql).expect("Q3 normalizes");
+    let template = || match db.engine().plan_cache().probe(&norm, |_| Freshness::Fresh) {
+        PlanProbe::Hit(plan, _) => *plan,
+        _ => panic!("no template for Q3"),
+    };
+    let estimates = |plan: &PhysPlan| {
+        let mut out = Vec::new();
+        plan.walk(&mut |n| out.push((n.id, n.annot.est_rows)));
+        out
+    };
+    // The first run stores the observations.
+    db.execute_sql(sql, ReoptMode::PlanOnly).unwrap();
+
+    db.engine().plan_cache().clear();
+    db.prepare(sql).unwrap();
+    let prepared = template();
+
+    db.engine().plan_cache().clear();
+    let miss = match db.execute_sql(sql, ReoptMode::PlanOnly).unwrap() {
+        SqlOutcome::Query(out) => out,
+        SqlOutcome::Command(c) => panic!("Q3 ran as a command: {c}"),
+    };
+    let executed = template();
+    assert_eq!(estimates(&prepared), estimates(&executed));
+
+    // The miss corrected the GROUP BY above the join tree, and the
+    // prepared template carries that correction too.
+    let mut agg = None;
+    prepared.walk(&mut |n| {
+        if matches!(n.op, PhysOp::HashAggregate { .. }) {
+            agg = Some((subplan_fingerprint(n), n.annot.est_rows));
+        }
+    });
+    let (agg_fp, agg_rows) = agg.expect("Q3 groups");
+    assert!(
+        miss.events.iter().any(|e| matches!(e,
+            ObsEvent::FeedbackApplied { fingerprint, observed_rows, .. }
+                if *fingerprint == agg_fp && *observed_rows == agg_rows)),
+        "{}",
+        miss.report()
+    );
 }

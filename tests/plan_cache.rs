@@ -329,7 +329,7 @@ fn insert_triggers_exactly_one_stale_reenumeration() {
 
 /// Adaptive histogram refresh: a column whose histogram predates a
 /// heavy skewed append mis-estimates a one-column predicate by far
-/// more than `HIST_REFRESH_ERROR_FACTOR`. After `hist_refresh_hits`
+/// more than `HIST_REFRESH_ERROR_FACTOR`. After `HIST_REFRESH_HITS`
 /// plannings see the error through cardinality feedback, the engine
 /// rebuilds just that column's histogram and drops the stored
 /// corrections — and no further refresh fires, because the healed
@@ -346,7 +346,6 @@ fn adaptive_histogram_refresh_fires_once_and_heals_estimates() {
         stats_feedback: false,
         cache_enabled: true,
         plan_cache_enabled: true,
-        hist_refresh_hits: 2,
         ..EngineConfig::default()
     })
     .unwrap();
@@ -397,11 +396,11 @@ fn adaptive_histogram_refresh_fires_once_and_heals_estimates() {
         "expected exactly one refresh of sk.v across the sequence"
     );
     // Run 0 records the observation; the refresh needs
-    // `hist_refresh_hits = 2` plannings that see the error.
-    let fired_at = fired_at.expect("refresh never fired");
-    assert!(
-        (1..=3).contains(&fired_at),
-        "refresh fired at unexpected run {fired_at}"
+    // `HIST_REFRESH_HITS = 3` plannings that see the error, runs 1–3.
+    assert_eq!(
+        fired_at,
+        Some(midq::reopt::engine::HIST_REFRESH_HITS as usize),
+        "refresh fired at an unexpected run"
     );
     // The healed histogram plans within the error threshold on its
     // own: the runs after the refresh accumulated no new error count
